@@ -160,7 +160,8 @@ type engineEntry struct {
 // benchEngine measures engine throughput on every config/variant/executor
 // triple and appends the results to the snapshot file, preserving earlier
 // entries. Variants are the lookahead A/B (classic 1-cycle links; 4-cycle
-// links with epochs off; 4-cycle links with the full conservative window);
+// links with epochs off; 4-cycle links with the full conservative window;
+// the DRAM-8/NoC-2/credit-1 profile at lookahead 1 and at full windows);
 // runs on the same machine must agree on the simulated cycle count, and
 // benchEngine fails if they diverge — it doubles as a conformance check.
 // With -scale paper the sweep also covers the 256-core paper chip. With
@@ -199,8 +200,8 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 				}
 				mode := ""
 				if v.Hetero() {
-					mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d global-window=%v",
-						r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.GlobalWindow)
+					mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d max-window=%d",
+						r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.MaxWindow)
 				}
 				fmt.Printf("%-8s parallel=%-5v linklat=%d lookahead=%d%s cycles=%-10d cycles/sec=%.0f\n",
 					r.Config, r.Parallel, r.LinkLatency, r.Lookahead, mode, r.Cycles, r.CyclesPerSec)
@@ -315,14 +316,13 @@ type benchFloor struct {
 	Parallel    bool   `json:"parallel"`
 	LinkLatency uint64 `json:"link_latency,omitempty"`
 	Lookahead   uint64 `json:"lookahead,omitempty"`
-	// Per-class latency overrides and the window-mode switch, mirroring
-	// experiments.EngineBenchVariant: heterogeneous floors guard the
-	// per-shard-window executor alongside the uniform lookahead A/B.
+	// Per-class latency overrides, mirroring experiments.EngineBenchVariant:
+	// heterogeneous floors guard the per-shard-window executor alongside
+	// the uniform lookahead A/B.
 	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
 	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
 	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
 	CreditLatency   uint64  `json:"credit_latency,omitempty"`
-	GlobalWindow    bool    `json:"global_window,omitempty"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
 	// MaxRegress is the tolerated fractional slowdown before the smoke run
 	// fails (0 selects 0.30). Generous because CI machines vary widely.
@@ -355,7 +355,6 @@ func benchSmoke(path string) error {
 			MainRingLatency: floor.MainRingLatency,
 			SubRingLatency:  floor.SubRingLatency,
 			CreditLatency:   floor.CreditLatency,
-			GlobalWindow:    floor.GlobalWindow,
 		}
 		// Best of 2 keeps one scheduler hiccup from tripping a CI failure;
 		// the generous MaxRegress absorbs the rest.
@@ -366,8 +365,8 @@ func benchSmoke(path string) error {
 		limit := floor.CyclesPerSec * (1 - floor.MaxRegress)
 		mode := ""
 		if v.Hetero() {
-			mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d global-window=%v",
-				r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.GlobalWindow)
+			mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d max-window=%d",
+				r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.MaxWindow)
 		}
 		fmt.Printf("%-8s parallel=%-5v linklat=%d lookahead=%d%s cycles/sec=%.0f (floor %.0f, fail below %.0f)\n",
 			r.Config, r.Parallel, r.LinkLatency, r.Lookahead, mode, r.CyclesPerSec, floor.CyclesPerSec, limit)

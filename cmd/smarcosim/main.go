@@ -54,17 +54,15 @@ func main() {
 	stage := flag.Bool("stage", false, "stage task datasets into the SPMs (§3.6)")
 	prefetch := flag.Bool("prefetch", false, "enable the sequential SPM prefetcher (§7)")
 	mesh := flag.Bool("mesh", false, "use the 2D-mesh baseline interconnect instead of hierarchical rings")
-	parallel := flag.Bool("parallel", true, "parallel (PDES-style) execution (superseded by -executor when set)")
-	executor := flag.String("executor", "", "engine executor: serial, parallel, or auto (empty defers to -parallel)")
+	executor := flag.String("executor", "parallel", "engine executor: serial, parallel (PDES-style), or auto; results identical for every executor")
 	partitions := flag.Int("partitions", 0, "parallel partition cap (0 = one per CPU); results identical at any value")
 	repartEvery := flag.Uint64("repartition-every", 0, "rebalance shard->partition assignment every N cycles (0 = assign once)")
 	linkLatency := flag.Uint64("link-latency", 0, "cross-shard link latency in cycles (0 = classic 1-cycle links); latencies >1 license multi-cycle engine epochs")
-	lookahead := flag.Uint64("lookahead", 0, "cap the engine's epoch length in cycles (0 = auto: the full window the link latencies allow); results identical at any setting")
+	lookahead := flag.Uint64("lookahead", 0, "cap every shard's fused-block window in cycles (0 = auto: the full window its link latencies allow; 1 = cycle by cycle); results identical at any setting")
 	dramLatency := flag.Uint64("dram-latency", 0, "memory-class link latency in cycles: MC ring ejects and direct datapaths (0 = -link-latency)")
 	mainringLatency := flag.Uint64("mainring-latency", 0, "main-ring injection latency in cycles (0 = -link-latency)")
 	subringLatency := flag.Uint64("subring-latency", 0, "sub-ring-class latency in cycles: hub ejects and sub-scheduler inboxes (0 = -link-latency)")
 	creditLatency := flag.Uint64("credit-latency", 0, "scheduler credit-return latency in cycles (0 = -link-latency)")
-	perShardWindows := flag.Bool("per-shard-windows", true, "let each shard fuse up to its own incoming-latency window (false = engine-wide global-min window); results identical either way")
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget")
 	sampleEvery := flag.Uint64("sample-every", 0, "sampled mode: one detailed window per N estimated cycles (0 = full detail)")
 	sampleWindow := flag.Uint64("sample-window", 10_000, "sampled mode: detailed window length in cycles")
@@ -113,7 +111,6 @@ func main() {
 	if *mesh {
 		cfg.Topology = "mesh"
 	}
-	cfg.Parallel = *parallel
 	cfg.Executor = *executor
 	cfg.Partitions = *partitions
 	cfg.RepartitionEvery = *repartEvery
@@ -123,7 +120,6 @@ func main() {
 	cfg.MainRingLatency = *mainringLatency
 	cfg.SubRingLatency = *subringLatency
 	cfg.CreditLatency = *creditLatency
-	cfg.GlobalWindow = !*perShardWindows
 	if *sampleEvery > 0 {
 		cfg.Sampling = sampling.Config{Every: *sampleEvery, Window: *sampleWindow, MinBatch: *sampleBatch}
 	}
@@ -317,7 +313,7 @@ func main() {
 	fmt.Println("output check: PASSED (bit-identical to the Go reference)")
 	la := c.Lookahead()
 	if la > 1 {
-		fmt.Printf("engine: lookahead %d, %d epochs over %d cycles (%.2f cycles/epoch)\n",
+		fmt.Printf("engine: lookahead %d, %d windows over %d cycles (%.2f cycles/window)\n",
 			la, c.Epochs(), cycles, float64(cycles)/float64(max(c.Epochs(), 1)))
 	}
 	if wr := c.WindowReport(); len(wr) > 0 {
@@ -342,11 +338,7 @@ func main() {
 				}
 				fmt.Fprintf(&sb, "%dx window %d", hist[w], w)
 			}
-			mode := "per-shard windows"
-			if !c.PerShardWindows() {
-				mode = "global-min window (per-shard disabled)"
-			}
-			fmt.Printf("engine: %s: %s\n", mode, sb.String())
+			fmt.Printf("engine: per-shard windows: %s\n", sb.String())
 		}
 	}
 	if r := c.Sampled(); r != nil {

@@ -18,7 +18,7 @@ func mediumConfig() Config {
 	cfg.SubRings = 8
 	cfg.CoresPerSub = 8
 	cfg.MCs = 4
-	cfg.Parallel = false
+	cfg.Executor = "serial"
 	return cfg
 }
 
@@ -52,7 +52,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := mediumConfig()
-			cfg.Parallel = tc.parallel
+			cfg.Executor = executorName(tc.parallel)
 			if tc.fault {
 				cfg.Fault = fault.Config{
 					Seed:          42,
@@ -301,7 +301,7 @@ func TestMetamorphicInvariants(t *testing.T) {
 	}
 	variants := []variant{
 		{"plain-serial", base(nil)},
-		{"parallel", base(func(c *Config) { c.Parallel = true })},
+		{"parallel", base(func(c *Config) { c.Executor = "parallel" })},
 		{"zero-rate-faults", base(func(c *Config) { c.Fault = fault.Config{Seed: 99} })},
 		{"trace", func(t *testing.T) uint64 {
 			cfg := SmallConfig()

@@ -44,15 +44,12 @@ type Config struct {
 	Topology string
 	// MeshLink configures the mesh baseline's links.
 	MeshLink noc.MeshLinkConfig
-	// Parallel selects the PDES-style parallel executor; results are
-	// identical to serial execution. Superseded by Executor when that is
-	// non-empty.
-	Parallel bool
-	// Executor picks the engine executor explicitly: "serial", "parallel",
-	// or "auto" (parallel only when the host has more than one CPU and the
-	// chip is at least autoParallelCores cores — the measured crossover
-	// below which per-cycle barrier overhead outweighs the concurrency).
-	// Empty defers to the Parallel field.
+	// Executor picks the engine executor: "serial", "parallel" (the
+	// PDES-style partition-parallel executor), or "auto" (parallel only
+	// when the host has more than one CPU and the chip is at least
+	// autoParallelCores cores — the measured crossover below which
+	// per-cycle barrier overhead outweighs the concurrency). Empty means
+	// serial. Results are identical for every executor.
 	Executor string
 	// Partitions caps the parallel executor's partition count (0 = one per
 	// available CPU). Purely a wall-time knob: results are identical for
@@ -66,12 +63,12 @@ type Config struct {
 	// link (main-ring injects and ejects, direct-link endpoints, scheduler
 	// task and credit channels). 0 selects the historical 1-cycle latency.
 	// Larger values model deeper interconnect pipelines and, as a direct
-	// consequence, widen the engine's conservative lookahead window: the
-	// engine may run epochs of up to the smallest cross-shard latency
-	// without synchronizing (DESIGN.md §12). Only the ring topology has
-	// cross-shard links; the mesh baseline is one shard and ignores this.
+	// consequence, widen the engine's conservative lookahead window: each
+	// shard may run up to its smallest incoming cross-shard latency without
+	// synchronizing (DESIGN.md §12). Only the ring topology has cross-shard
+	// links; the mesh baseline is one shard and ignores this.
 	LinkLatency uint64
-	// Per-class cross-link latencies (DESIGN.md §14). Each overrides
+	// Per-class cross-link latencies (DESIGN.md §12). Each overrides
 	// LinkLatency for one class of cross-shard boundary ports; 0 keeps the
 	// class at the uniform LinkLatency, so the zero values reproduce the
 	// classic homogeneous machine. The classes map onto ports as:
@@ -87,24 +84,20 @@ type Config struct {
 	//
 	// Distinct values make the engine's safe window per-shard: a memory
 	// shard fed only by latency-8 links fuses 8-cycle blocks while the
-	// scheduler shard steps cycle by cycle (see GlobalWindow). As with
-	// LinkLatency, these define the simulated machine — results are
-	// bit-identical across executors, lookahead caps, and window modes on
-	// the same latency profile, but differ between profiles.
+	// scheduler shard steps cycle by cycle (Lookahead 1 makes every shard
+	// step). As with LinkLatency, these define the simulated machine —
+	// results are bit-identical across executors and lookahead caps on the
+	// same latency profile, but differ between profiles.
 	DRAMLatency     uint64
 	MainRingLatency uint64
 	SubRingLatency  uint64
 	CreditLatency   uint64
-	// Lookahead caps the engine's epoch length in cycles. 0 means "auto":
-	// use the full conservative window derived from the link latencies.
-	// Values above the window are clamped down; results are bit-identical
-	// for every setting on the same LinkLatency machine.
+	// Lookahead caps every shard's fused-block window in cycles. 0 means
+	// "auto": each shard uses the full conservative window derived from its
+	// incoming link latencies; 1 steps the whole chip cycle by cycle.
+	// Values above a window are clamped down; results are bit-identical
+	// for every setting on the same latency profile.
 	Lookahead uint64
-	// GlobalWindow forces the engine-wide global-min epoch window
-	// (DESIGN.md §12) instead of per-shard windows (§14). An A/B switch
-	// for benchmarking the executor: simulated results are identical
-	// either way, and uniform-latency machines behave the same regardless.
-	GlobalWindow bool
 	// ClockHz converts cycles to seconds for cross-machine comparisons
 	// (SmarCo runs at 1.5 GHz).
 	ClockHz float64
@@ -137,7 +130,7 @@ func DefaultConfig() Config {
 		DirectDelay: 4,
 		DirectBytes: 8,
 		MeshLink:    noc.DefaultMeshLink(),
-		Parallel:    true,
+		Executor:    "parallel",
 		ClockHz:     1.5e9,
 	}
 }
@@ -148,7 +141,7 @@ func SmallConfig() Config {
 	cfg.SubRings = 4
 	cfg.CoresPerSub = 4
 	cfg.MCs = 2
-	cfg.Parallel = false
+	cfg.Executor = ""
 	return cfg
 }
 
@@ -162,17 +155,15 @@ func (c Config) Cores() int { return c.SubRings * c.CoresPerSub }
 const autoParallelCores = 64
 
 // EffectiveParallel resolves the executor selection to a concrete mode for
-// this host. Executor "" defers to the legacy Parallel bool.
+// this host.
 func (c Config) EffectiveParallel() bool {
 	switch c.Executor {
-	case "serial":
-		return false
 	case "parallel":
 		return true
 	case "auto":
 		return runtime.GOMAXPROCS(0) > 1 && c.Cores() >= autoParallelCores
 	default:
-		return c.Parallel
+		return false
 	}
 }
 
@@ -272,7 +263,6 @@ func Build(cfg Config, store *mem.Sparse) (*Chip, error) {
 	}
 	c.eng.SetWatchdog(wd)
 	c.eng.SetLookahead(cfg.Lookahead)
-	c.eng.SetPerShardWindows(!cfg.GlobalWindow)
 	var err error
 	if cfg.Topology == "mesh" {
 		err = c.buildMesh()
@@ -623,23 +613,18 @@ func (c *Chip) submitNow(tasks []kernels.Task) {
 // Now returns the current cycle.
 func (c *Chip) Now() uint64 { return c.eng.Now() }
 
-// Lookahead returns the engine's effective epoch window in cycles: the
+// Lookahead returns the engine's narrowest shard window in cycles: the
 // conservative window licensed by the cross-shard link latencies, clamped
 // by Config.Lookahead (1 on the mesh topology, which has no cross links).
 func (c *Chip) Lookahead() uint64 { return c.eng.Lookahead() }
 
-// Epochs counts engine synchronization rounds so far (see Snapshot.Epochs).
+// Epochs counts the engine's multi-cycle windows so far (see Snapshot.Epochs).
 func (c *Chip) Epochs() uint64 { return c.eng.Epochs() }
 
 // WindowReport returns the engine's per-shard lookahead-window report:
 // each shard's safe fused-block window under the configured latencies and
-// Lookahead cap, plus the fused blocks executed so far (DESIGN.md §14).
+// Lookahead cap, plus the fused blocks executed so far (DESIGN.md §12).
 func (c *Chip) WindowReport() []sim.ShardWindow { return c.eng.WindowReport() }
-
-// PerShardWindows reports whether per-shard fused-block windows are enabled
-// (Config.GlobalWindow false); they still only engage when some shard's
-// window exceeds the global minimum.
-func (c *Chip) PerShardWindows() bool { return c.eng.PerShardWindows() }
 
 // Step advances one cycle (exposed for fine-grained harnesses).
 func (c *Chip) Step() { c.eng.Step() }

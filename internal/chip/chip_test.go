@@ -39,6 +39,14 @@ func TestAllBenchmarksRunOnChip(t *testing.T) {
 	}
 }
 
+// executorName maps a serial/parallel test dimension onto Config.Executor.
+func executorName(parallel bool) string {
+	if parallel {
+		return "parallel"
+	}
+	return "serial"
+}
+
 // scaleFor keeps chip-level tests fast.
 func scaleFor(name string) int {
 	switch name {
@@ -57,7 +65,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	run := func(parallel bool) (uint64, error, *kernels.Workload) {
 		w := kernels.MustNew("rnc", kernels.Config{Seed: 3, Tasks: 12})
 		cfg := SmallConfig()
-		cfg.Parallel = parallel
+		cfg.Executor = executorName(parallel)
 		c := New(cfg, w.Mem)
 		c.Submit(w.Tasks)
 		cycles, err := c.Run(3_000_000)

@@ -13,7 +13,7 @@ func faultyConfig(parallel bool) Config {
 	cfg.SubRings = 2
 	cfg.CoresPerSub = 4
 	cfg.MCs = 2
-	cfg.Parallel = parallel
+	cfg.Executor = executorName(parallel)
 	cfg.Fault = fault.Config{
 		Seed:          7,
 		LinkFaultRate: 1e-3,

@@ -24,7 +24,6 @@ func lookaheadSnapshot(t *testing.T, c *Chip, kernel string) []byte {
 	s.Chip.Parallel = false
 	s.Chip.Executor = ""
 	s.Chip.Lookahead = 0
-	s.Chip.PerShardWindows = false
 	s.Epochs = 0
 	for i := range s.Load {
 		s.Load[i].Partition = 0
@@ -253,8 +252,8 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 
 // heteroTestConfig is the small chip wired with the reference
 // heterogeneous latency profile (DRAM-8 / NoC-2 / credit-1): the global
-// minimum window is a single cycle, so only per-shard windows ever fuse
-// multi-cycle blocks on this machine.
+// minimum window is a single cycle, so Lookahead 1 runs the global-min
+// window and only per-shard windows ever fuse multi-cycle blocks.
 func heteroTestConfig() Config {
 	cfg := SmallConfig()
 	cfg.Executor = "serial"
@@ -268,9 +267,9 @@ func heteroTestConfig() Config {
 // TestHeteroLatencyConformance is the per-shard-window contract at chip
 // level: on the heterogeneous DRAM-8/NoC-2/credit-1 machine, every kernel
 // produces the identical cycle count and normalized snapshot whether the
-// engine runs the global-min window or per-shard fused blocks, under both
-// executors, across SetLookahead clamps, with and without fault injection.
-// The reference is the global-min window run serially at lookahead 1 —
+// engine runs the global-min window (Lookahead 1) or per-shard fused
+// blocks, under both executors, across SetLookahead clamps, with and
+// without fault injection. The reference is the serial lookahead-1 run —
 // cycle-by-cycle execution of the same machine.
 func TestHeteroLatencyConformance(t *testing.T) {
 	names := kernels.Names
@@ -287,7 +286,6 @@ func TestHeteroLatencyConformance(t *testing.T) {
 						return kernels.MustNew(kn, kernels.Config{Seed: 7, Tasks: 4})
 					}
 					base := heteroTestConfig()
-					base.GlobalWindow = true
 					base.Lookahead = 1
 					if faulty {
 						base.Fault = lookaheadFaultConfig()
@@ -305,26 +303,24 @@ func TestHeteroLatencyConformance(t *testing.T) {
 					refSnap := lookaheadSnapshot(t, ref, kn)
 
 					for _, tc := range []struct {
-						global bool
-						look   uint64
-						exec   string
+						look uint64
+						exec string
 					}{
-						{true, 0, "parallel"}, // global-min window, other executor
-						{false, 1, "serial"},  // per-shard clamped down to cycle-by-cycle
-						{false, 4, "serial"},  // per-shard, DRAM windows clamped 8 -> 4
-						{false, 4, "parallel"},
-						{false, 0, "serial"}, // per-shard, full windows
-						{false, 0, "parallel"},
+						{1, "parallel"}, // global-min window, other executor
+						{2, "parallel"}, // every window clamped to 2: multi-round windows
+						{4, "serial"},   // per-shard, DRAM windows clamped 8 -> 4
+						{4, "parallel"},
+						{0, "serial"}, // per-shard, full windows
+						{0, "parallel"},
 					} {
 						cfg := base
-						cfg.GlobalWindow = tc.global
 						cfg.Lookahead = tc.look
 						cfg.Executor = tc.exec
 						w := mk()
 						c := New(cfg, w.Mem)
 						c.Submit(w.Tasks)
 						cycles, err := c.Run(30_000_000)
-						name := fmt.Sprintf("global=%v look=%d exec=%s", tc.global, tc.look, tc.exec)
+						name := fmt.Sprintf("look=%d exec=%s", tc.look, tc.exec)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -347,10 +343,11 @@ func TestHeteroLatencyConformance(t *testing.T) {
 
 // TestHeteroCheckpointCrossSetting: a checkpoint taken mid-run on the
 // heterogeneous machine — at a cycle deliberately off the 8-cycle done
-// grid — restores into a chip with a different executor, lookahead cap,
-// and window mode, and converges on the identical final state. Per-shard
-// clocks are ephemeral (all shards realign at window ends and budget
-// stops), so the checkpoint format carries no window state.
+// grid — restores into a chip with a different executor and lookahead cap
+// ("global" is the global-min window, Lookahead 1), and converges on the
+// identical final state. Per-shard clocks are ephemeral (all shards
+// realign at window ends and budget stops), so the checkpoint format
+// carries no window state.
 func TestHeteroCheckpointCrossSetting(t *testing.T) {
 	mk := func() *kernels.Workload {
 		return kernels.MustNew("kmp", kernels.Config{Seed: 123, Tasks: 8})
@@ -368,22 +365,19 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 	refSnap := lookaheadSnapshot(t, ref, "kmp")
 
 	for _, tc := range []struct {
-		name      string
-		srcGlobal bool
-		srcLook   uint64
-		dstGlobal bool
-		dstLook   uint64
-		dstExec   string
-		dstParts  int
+		name     string
+		srcLook  uint64
+		dstLook  uint64
+		dstExec  string
+		dstParts int
 	}{
-		{"per-shard-to-global-parallel", false, 0, true, 1, "parallel", 3},
-		{"global-to-per-shard-serial", true, 1, false, 0, "serial", 0},
-		{"per-shard-to-clamped-parallel", false, 0, false, 4, "parallel", 2},
+		{"per-shard-to-global-parallel", 0, 1, "parallel", 3},
+		{"global-to-per-shard-serial", 1, 0, "serial", 0},
+		{"per-shard-to-clamped-parallel", 0, 4, "parallel", 2},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			srcCfg := base
-			srcCfg.GlobalWindow = tc.srcGlobal
 			srcCfg.Lookahead = tc.srcLook
 			wSrc := mk()
 			src := New(srcCfg, wSrc.Mem)
@@ -399,7 +393,6 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 			blob := src.Checkpoint().Encode()
 
 			dstCfg := base
-			dstCfg.GlobalWindow = tc.dstGlobal
 			dstCfg.Lookahead = tc.dstLook
 			dstCfg.Executor = tc.dstExec
 			dstCfg.Partitions = tc.dstParts
@@ -503,15 +496,15 @@ func FuzzEpochBoundaries(f *testing.F) {
 
 // FuzzHeteroWindowBoundaries is FuzzEpochBoundaries for heterogeneous
 // machines: arbitrary per-class latencies, an arbitrary SetLookahead
-// clamp, either window mode, and budget slices that stop shards mid-window
-// must all converge on the state of an uninterrupted global-min
-// cycle-by-cycle run of the same machine.
+// clamp, and budget slices that stop shards mid-window must all converge
+// on the state of an uninterrupted lookahead-1 (cycle-by-cycle) run of the
+// same machine.
 func FuzzHeteroWindowBoundaries(f *testing.F) {
-	f.Add(uint64(8), uint64(2), uint64(1), uint64(0), false, uint64(137), uint64(911))
-	f.Add(uint64(5), uint64(3), uint64(2), uint64(4), false, uint64(64), uint64(1))
-	f.Add(uint64(8), uint64(2), uint64(1), uint64(0), true, uint64(1), uint64(4999))
-	f.Add(uint64(3), uint64(7), uint64(4), uint64(2), false, uint64(333), uint64(333))
-	f.Fuzz(func(t *testing.T, dram, ring, credit, look uint64, global bool, s1, s2 uint64) {
+	f.Add(uint64(8), uint64(2), uint64(1), uint64(0), uint64(137), uint64(911))
+	f.Add(uint64(5), uint64(3), uint64(2), uint64(4), uint64(64), uint64(1))
+	f.Add(uint64(8), uint64(2), uint64(1), uint64(1), uint64(1), uint64(4999))
+	f.Add(uint64(3), uint64(7), uint64(4), uint64(2), uint64(333), uint64(333))
+	f.Fuzz(func(t *testing.T, dram, ring, credit, look, s1, s2 uint64) {
 		dram = 1 + dram%8
 		ring = 1 + ring%8
 		credit = 1 + credit%8
@@ -530,7 +523,6 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 		base.CreditLatency = credit
 
 		refCfg := base
-		refCfg.GlobalWindow = true
 		refCfg.Lookahead = 1
 		wRef := mk()
 		ref := New(refCfg, wRef.Mem)
@@ -542,7 +534,6 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 		refSnap := lookaheadSnapshot(t, ref, "kmp")
 
 		cfg := base
-		cfg.GlobalWindow = global
 		cfg.Lookahead = look
 		w := mk()
 		c := New(cfg, w.Mem)
@@ -569,12 +560,12 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 			t.Fatal(err)
 		}
 		if cycles != refCycles {
-			t.Fatalf("dram=%d ring=%d credit=%d look=%d global=%v slices=(%d,%d): %d cycles, reference %d",
-				dram, ring, credit, look, global, s1, s2, cycles, refCycles)
+			t.Fatalf("dram=%d ring=%d credit=%d look=%d slices=(%d,%d): %d cycles, reference %d",
+				dram, ring, credit, look, s1, s2, cycles, refCycles)
 		}
 		if snap := lookaheadSnapshot(t, c, "kmp"); !bytes.Equal(snap, refSnap) {
-			t.Fatalf("dram=%d ring=%d credit=%d look=%d global=%v slices=(%d,%d): snapshot diverged",
-				dram, ring, credit, look, global, s1, s2)
+			t.Fatalf("dram=%d ring=%d credit=%d look=%d slices=(%d,%d): snapshot diverged",
+				dram, ring, credit, look, s1, s2)
 		}
 	})
 }

@@ -93,24 +93,20 @@ type SnapshotChip struct {
 	Parallel    bool   `json:"parallel"` // effective executor for this run
 	Executor    string `json:"executor,omitempty"`
 	// LinkLatency is the configured cross-shard link delay (0 = historical
-	// 1-cycle links); Lookahead is the effective epoch window the engine
+	// 1-cycle links); Lookahead is the narrowest shard window the engine
 	// ran with — the conservative window derived from the link latencies,
 	// clamped by Config.Lookahead, reported only when > 1 (the classic
 	// cycle-by-cycle machine omits it). Both are execution-mode facts,
 	// like Parallel: results are identical across Lookahead settings.
 	LinkLatency uint64 `json:"link_latency,omitempty"`
 	Lookahead   uint64 `json:"lookahead,omitempty"`
-	// Per-class cross-link latencies (DESIGN.md §14); reported only when
+	// Per-class cross-link latencies (DESIGN.md §12); reported only when
 	// they override the uniform LinkLatency. Unlike LinkLatency they are
 	// configuration facts that define the simulated machine per class.
-	DRAMLatency     uint64 `json:"dram_latency,omitempty"`
-	MainRingLatency uint64 `json:"mainring_latency,omitempty"`
-	SubRingLatency  uint64 `json:"subring_latency,omitempty"`
-	CreditLatency   uint64 `json:"credit_latency,omitempty"`
-	// PerShardWindows marks a run under the per-shard window executor
-	// (DESIGN.md §14). An execution-mode fact like Parallel: results are
-	// identical with it on or off.
-	PerShardWindows bool    `json:"per_shard_windows,omitempty"`
+	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
+	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
+	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
+	CreditLatency   uint64  `json:"credit_latency,omitempty"`
 	ClockHz         float64 `json:"clock_hz"`
 }
 
@@ -123,10 +119,10 @@ type Snapshot struct {
 	Workload string  `json:"workload,omitempty"`
 	Cycles   uint64  `json:"cycles"`
 	Seconds  float64 `json:"seconds"` // simulated time at ClockHz
-	// Epochs counts engine synchronization rounds: with lookahead n the
-	// engine barriers once per epoch instead of once per cycle, so
-	// Cycles/Epochs approaches the lookahead window on busy runs. A
-	// wall-time diagnostic, not simulated state (never checkpointed).
+	// Epochs counts the engine's multi-cycle windows: with a done grid of n
+	// cycles the engine barriers once per window instead of once per cycle,
+	// so Cycles/Epochs approaches the grid on busy runs. A wall-time
+	// diagnostic, not simulated state (never checkpointed).
 	Epochs uint64 `json:"epochs,omitempty"`
 	// Sampled marks a sampled run (DESIGN.md §13): Cycles/Seconds are the
 	// SMARTS extrapolation from SampleWindows detailed windows, EstError is
@@ -144,7 +140,7 @@ type Snapshot struct {
 	// column reflects this run's assignment (all zero under serial).
 	Load    []sim.ShardLoad        `json:"load,omitempty"`
 	Profile []sim.PartitionProfile `json:"profile,omitempty"`
-	// Windows is the per-shard lookahead-window report (DESIGN.md §14),
+	// Windows is the per-shard lookahead-window report (DESIGN.md §12),
 	// present whenever some shard may fuse multi-cycle blocks: each
 	// shard's safe window (a pure function of the wiring and the Lookahead
 	// cap — the window histogram) and the fused blocks it executed (an
@@ -197,20 +193,14 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 		s.Chip.Lookahead = la
 	}
 	// The window report appears whenever some shard may fuse multi-cycle
-	// blocks; the per-shard flag only when the mode actually engages (some
-	// window exceeds the global-min epoch length). Classic 1-cycle-link
-	// snapshots stay byte-identical to older engine versions.
-	if wr := c.eng.WindowReport(); len(wr) > 0 {
-		var maxWin uint64
-		for _, w := range wr {
-			if w.Window > maxWin {
-				maxWin = w.Window
-			}
-		}
-		if maxWin > 1 {
+	// blocks. Classic 1-cycle-link snapshots stay byte-identical to older
+	// engine versions.
+	wr := c.eng.WindowReport()
+	for _, w := range wr {
+		if w.Window > 1 {
 			s.Windows = wr
+			break
 		}
-		s.Chip.PerShardWindows = c.eng.PerShardWindows() && maxWin > c.eng.Lookahead()
 	}
 	if c.prof != nil {
 		s.Profile = c.prof.Partitions()

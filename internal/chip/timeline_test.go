@@ -88,7 +88,7 @@ func TestTimelineSerialParallelIdentical(t *testing.T) {
 			w.Tasks[i].ReleaseCycle = uint64(i) * 3_000 // bursts with idle gaps
 		}
 		cfg := SmallConfig()
-		cfg.Parallel = parallel
+		cfg.Executor = executorName(parallel)
 		c := New(cfg, w.Mem)
 		c.Submit(w.Tasks)
 		samples, _, err := c.RunWithTimeline(3_000_000, 2_000)

@@ -185,7 +185,7 @@ func Fig26Prototype(scale Scale, seed uint64) ([]Fig22Result, error) {
 		cfg.SubRings = 1
 		cfg.CoresPerSub = 8
 		cfg.MCs = 1
-		cfg.Parallel = false
+		cfg.Executor = "serial"
 	}
 	var out []Fig22Result
 	for _, name := range Benchmarks {

@@ -40,13 +40,11 @@ func EngineChipConfig(name string) (chip.Config, error) {
 // EngineBenchVariant selects the timing model an engine measurement runs
 // under. The zero value is the classic machine: 1-cycle cross-shard links,
 // a barrier every cycle. LinkLatency > 1 models slower links, which also
-// licenses the engine to run multi-cycle conservative epochs; Lookahead
-// caps the epoch window (0 = auto, the full window the links allow; 1
-// disables epochs so the same machine runs cycle-by-cycle). The per-class
-// latencies override LinkLatency for one port class each (0 defers; see
-// chip.Config), making the safe window per-shard; GlobalWindow is the
-// executor A/B switch that forces the engine-wide global-min window on
-// such a machine.
+// licenses the engine to run multi-cycle conservative windows; Lookahead
+// caps every shard's window (0 = auto, the full window the links allow; 1
+// disables fused windows so the same machine runs cycle-by-cycle). The
+// per-class latencies override LinkLatency for one port class each (0
+// defers; see chip.Config), making the safe window per-shard.
 type EngineBenchVariant struct {
 	LinkLatency     uint64
 	Lookahead       uint64
@@ -54,7 +52,6 @@ type EngineBenchVariant struct {
 	MainRingLatency uint64
 	SubRingLatency  uint64
 	CreditLatency   uint64
-	GlobalWindow    bool
 }
 
 // Hetero reports whether the variant overrides any per-class latency.
@@ -64,7 +61,7 @@ func (v EngineBenchVariant) Hetero() bool {
 
 // MachineKey names the simulated machine the variant defines — config
 // plus every latency that shapes the timing model, excluding pure
-// executor switches (Lookahead, GlobalWindow, parallel). Runs with equal
+// executor switches (Lookahead, parallel). Runs with equal
 // keys must report bit-identical simulated cycle counts.
 func (v EngineBenchVariant) MachineKey(config string) string {
 	key := fmt.Sprintf("%s/linklat=%d", config, max(v.LinkLatency, 1))
@@ -77,17 +74,17 @@ func (v EngineBenchVariant) MachineKey(config string) string {
 
 // heteroProfile is the reference heterogeneous latency profile
 // (DRAM-8 / NoC-2 / credit-1): memory links at 8 cycles, ring hops at 2,
-// scheduler credits at 1. Under per-shard windows the memory shards fuse
-// 8-cycle blocks and the ring/sub-ring shards 2-cycle blocks while the
-// scheduler steps cycle by cycle; the global-min window on the same
-// machine is a single cycle.
-func heteroProfile(globalWindow bool) EngineBenchVariant {
+// scheduler credits at 1. At auto lookahead the memory shards fuse 8-cycle
+// blocks and the ring/sub-ring shards 2-cycle blocks while the scheduler
+// steps cycle by cycle; the global-min window on the same machine is a
+// single cycle, which is what the given lookahead cap of 1 runs.
+func heteroProfile(lookahead uint64) EngineBenchVariant {
 	return EngineBenchVariant{
+		Lookahead:       lookahead,
 		DRAMLatency:     8,
 		MainRingLatency: 2,
 		SubRingLatency:  2,
 		CreditLatency:   1,
-		GlobalWindow:    globalWindow,
 	}
 }
 
@@ -95,17 +92,17 @@ func heteroProfile(globalWindow bool) EngineBenchVariant {
 // sweeps: the classic 1-cycle-link machine for continuity with older
 // entries; the 4-cycle-link machine twice — epochs disabled (Lookahead 1)
 // and the full conservative window (auto); then the heterogeneous
-// DRAM-8/NoC-2/credit-1 profile twice — under the global-min window
-// (one-cycle epochs, capped by the credit link) and under per-shard
-// windows. Runs on the same machine (equal MachineKey) must report
+// DRAM-8/NoC-2/credit-1 profile twice — at Lookahead 1 (the global-min
+// window, capped by the credit link) and under full per-shard windows.
+// Runs on the same machine (equal MachineKey) must report
 // bit-identical simulated cycle counts; the benchmark driver enforces
 // that, so the sweep doubles as a conformance check.
 var EngineBenchVariants = []EngineBenchVariant{
 	{},
 	{LinkLatency: 4, Lookahead: 1},
 	{LinkLatency: 4},
-	heteroProfile(true),
-	heteroProfile(false),
+	heteroProfile(1),
+	heteroProfile(0),
 }
 
 // EngineRun is one engine-throughput measurement. CyclesPerSec is the
@@ -115,19 +112,17 @@ type EngineRun struct {
 	Parallel bool   `json:"parallel"`
 	// LinkLatency and Lookahead describe the timing-model variant; both
 	// absent means the classic machine (1-cycle links, barrier every
-	// cycle). Lookahead records the effective engine-wide epoch window the
-	// engine settled on, not the requested cap. The per-class latencies
+	// cycle). Lookahead records the effective engine-wide minimum window
+	// the engine settled on, not the requested cap. The per-class latencies
 	// mirror the variant's heterogeneous profile (absent on uniform
-	// machines); GlobalWindow marks the executor A/B row that forced the
-	// global-min window, and MaxWindow records the widest per-shard window
-	// the wiring allows (absent when it equals the global minimum).
+	// machines), and MaxWindow records the widest per-shard window the run
+	// used (absent when it equals the global minimum, as at Lookahead 1).
 	LinkLatency     uint64  `json:"link_latency,omitempty"`
 	Lookahead       uint64  `json:"lookahead,omitempty"`
 	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
 	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
 	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
 	CreditLatency   uint64  `json:"credit_latency,omitempty"`
-	GlobalWindow    bool    `json:"global_window,omitempty"`
 	MaxWindow       uint64  `json:"max_window,omitempty"`
 	Cycles          uint64  `json:"cycles"`
 	WallSeconds     float64 `json:"wall_seconds"`
@@ -207,14 +202,16 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 	if err != nil {
 		return EngineRun{}, chip.Snapshot{}, err
 	}
-	cfg.Parallel = parallel
+	cfg.Executor = "serial"
+	if parallel {
+		cfg.Executor = "parallel"
+	}
 	cfg.LinkLatency = v.LinkLatency
 	cfg.Lookahead = v.Lookahead
 	cfg.DRAMLatency = v.DRAMLatency
 	cfg.MainRingLatency = v.MainRingLatency
 	cfg.SubRingLatency = v.SubRingLatency
 	cfg.CreditLatency = v.CreditLatency
-	cfg.GlobalWindow = v.GlobalWindow
 	w := kernels.MustNew("kmp", kernels.Config{Seed: 1, Tasks: 2 * cfg.Cores(), Scale: 512})
 	c, err := chip.Build(cfg, w.Mem)
 	if err != nil {
@@ -238,7 +235,6 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 		MainRingLatency: v.MainRingLatency,
 		SubRingLatency:  v.SubRingLatency,
 		CreditLatency:   v.CreditLatency,
-		GlobalWindow:    v.GlobalWindow,
 		Cycles:          cycles,
 		WallSeconds:     wall,
 		CyclesPerSec:    float64(cycles) / wall,
@@ -260,8 +256,8 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 		label = fmt.Sprintf("%s linklat=%d lookahead=%d", label, v.LinkLatency, v.Lookahead)
 	}
 	if v.Hetero() {
-		label = fmt.Sprintf("%s dram=%d mainring=%d subring=%d credit=%d global-window=%v",
-			label, v.DRAMLatency, v.MainRingLatency, v.SubRingLatency, v.CreditLatency, v.GlobalWindow)
+		label = fmt.Sprintf("%s dram=%d mainring=%d subring=%d credit=%d",
+			label, v.DRAMLatency, v.MainRingLatency, v.SubRingLatency, v.CreditLatency)
 	}
 	return run, c.Snapshot(label, EngineBenchWorkload), nil
 }

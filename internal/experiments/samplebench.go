@@ -45,7 +45,7 @@ func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled
 	if err != nil {
 		return
 	}
-	cfg.Parallel = false
+	cfg.Executor = "serial"
 	if !cad.Enabled() {
 		cad = EngineSampledCadence
 	}

@@ -23,7 +23,7 @@ func Fig17TCGIPC(scale Scale, seed uint64) ([]Fig17Result, error) {
 	cfg.SubRings = 1
 	cfg.CoresPerSub = 1
 	cfg.MCs = 1
-	cfg.Parallel = false
+	cfg.Executor = "serial"
 
 	work := map[string]int{
 		"wordcount": 384, "kmp": 384, "terasort": 24,

@@ -57,7 +57,7 @@ func (m *MainScheduler) Ports() []interface{ Commit(uint64) } {
 // as cross-shard inputs (each is fed by a sub-scheduler in another shard),
 // stamped with the credit latency class (chip.Config.CreditLatency) — on
 // heterogeneous wirings this is usually the chip's tightest loop, and it
-// alone bounds the scheduler shard's lookahead window (DESIGN.md §14).
+// alone bounds the scheduler shard's lookahead window (DESIGN.md §12).
 func (m *MainScheduler) CreditPorts() []*sim.Port[int] { return m.creditP }
 
 // SetWake implements sim.Wakeable: Submit can arrive while the scheduler is

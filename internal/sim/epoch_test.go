@@ -82,27 +82,41 @@ func TestEpochDeliveryTiming(t *testing.T) {
 
 // TestEpochIdentityAcrossLookahead is the tentpole contract at engine
 // level: on a fixed machine (lat=4), every lookahead setting and both
-// executors produce the identical receipt history.
+// executors produce the identical receipt history. At full windows the
+// uniform wiring must run each 4-cycle window as a single min-clock round:
+// every shard fuses exactly one block per window.
 func TestEpochIdentityAcrossLookahead(t *testing.T) {
-	run := func(look uint64, parallel bool) ([][2]uint64, [][2]uint64, uint64) {
+	run := func(look uint64, parallel bool) ([][2]uint64, [][2]uint64, uint64, []ShardWindow) {
 		e, a, b := buildPingPong(4, look, parallel)
 		if _, err := e.Run(1000, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("look=%d parallel=%v: %v", look, parallel, err)
 		}
-		return a.log, b.log, e.Epochs()
+		return a.log, b.log, e.Epochs(), e.WindowReport()
 	}
-	refA, refB, _ := run(1, false)
+	refA, refB, _, _ := run(1, false)
 	if len(refA) == 0 || len(refB) == 0 {
 		t.Fatal("reference run exchanged no messages")
 	}
 	for _, look := range []uint64{0, 1, 2, 3, 4, 9} {
 		for _, parallel := range []bool{false, true} {
-			gotA, gotB, epochs := run(look, parallel)
+			gotA, gotB, epochs, wr := run(look, parallel)
 			if fmt.Sprint(gotA) != fmt.Sprint(refA) || fmt.Sprint(gotB) != fmt.Sprint(refB) {
 				t.Fatalf("look=%d parallel=%v: receipt history diverged", look, parallel)
 			}
 			if (look == 0 || look >= 2) && epochs == 0 {
 				t.Fatalf("look=%d parallel=%v: fused path never ran", look, parallel)
+			}
+			if look == 0 || look >= 4 {
+				if epochs != 1000/4 {
+					t.Fatalf("look=%d parallel=%v: %d windows over 1000 cycles, want 250",
+						look, parallel, epochs)
+				}
+				for _, w := range wr {
+					if w.Blocks != epochs {
+						t.Fatalf("look=%d parallel=%v: shard %s ran %d blocks in %d windows, want one per window",
+							look, parallel, w.Label, w.Blocks, epochs)
+					}
+				}
 			}
 		}
 	}

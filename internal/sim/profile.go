@@ -145,8 +145,8 @@ func (p *Profile) Partitions() []PartitionProfile {
 
 // LabelPartition names a shard in reports (e.g. "sub3", "uncore"); the
 // index is the shard id. Call after Engine.SetProfile. Shards registered
-// through AddShard already carry their label; this override exists for
-// AddPartition-era callers.
+// through AddShard with a label already carry it; this override names
+// shards registered without one.
 func (p *Profile) LabelPartition(si int, label string) {
 	if p.eng != nil && si >= 0 && si < len(p.eng.shards) {
 		p.eng.shards[si].label = label

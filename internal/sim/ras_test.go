@@ -96,8 +96,8 @@ func TestParallelPanicSurfacesAsError(t *testing.T) {
 	e := NewEngine()
 	e.SetParallel(true)
 	e.SetMaxPartitions(2)
-	e.AddPartition(&panicTicker{name: "core7", at: 10})
-	e.AddPartition(idleTicker{})
+	e.AddShard("", &panicTicker{name: "core7", at: 10})
+	e.AddShard("", idleTicker{})
 	cycles, err := e.Run(1_000, nil)
 	if err == nil {
 		t.Fatal("expected a panic-derived error")

@@ -34,6 +34,13 @@
 // makes the synchronization safe. Ports are committed by the partition that
 // currently owns the receiving component's shard, so commit work
 // parallelizes with the rest of the cycle.
+//
+// Run has exactly two ways to advance. When every shard's safe window is
+// one cycle it calls Step. Otherwise it advances one done-grid window at a
+// time with advanceWindow: each shard fuses blocks of up to its own window
+// (the minimum declared latency over its incoming cross-shard ports,
+// clamped by SetLookahead), executed as min-clock rounds. Both paths
+// produce bit-identical histories; see DESIGN.md §12.
 package sim
 
 import (
@@ -141,7 +148,7 @@ type deliverNotifier interface {
 
 // CrossPort is the engine-facing interface of a cross-shard port: a *Port
 // registered with AddCrossPortFor. Cross-shard ports declare a minimum
-// delivery latency and buffer sends across epoch barriers (Seal), releasing
+// delivery latency and buffer sends across synchronizations (Seal), releasing
 // each message on the exact cycle its timestamp dictates (ReleaseDue) — the
 // mechanism behind conservative multi-cycle lookahead. The unexported
 // method restricts implementations to this package's Port.
@@ -158,8 +165,8 @@ type CrossPort interface {
 // dirtyNotifier is implemented by Port: the engine installs a callback fired
 // on the clean→dirty transition (the first Send of a cycle), which enqueues
 // the port on its owning shard's commit list. The port-commit phase then
-// visits only ports that were actually sent to, instead of every registered
-// port.
+// visits only ports that were actually sent to. Every registered port must
+// implement it (registerPort panics otherwise).
 type dirtyNotifier interface {
 	SetOnDirty(func())
 }
@@ -187,11 +194,9 @@ type shard struct {
 	comps  []*compState
 	active []int32 // indices into comps, ascending (registration order)
 	timers timerHeap
-	// ports holds registered committers that do not support the dirty-queue
-	// protocol (anything that is not a *Port); they are committed every
-	// cycle. *Port registrations instead self-enqueue on dirtyPorts via
-	// their onDirty hook, so clean ports cost nothing per cycle.
-	ports      []committer
+	// dirtyPorts queues the registered ports sent to since the last port
+	// phase (self-enqueued via their onDirty hook), so clean ports cost
+	// nothing per cycle.
 	dirtyMu    sync.Mutex
 	dirtyPorts []committer
 	spareDirty []committer // double buffer reused by portPhase
@@ -200,8 +205,8 @@ type shard struct {
 
 	// crossIn holds the cross-shard ports owned by this shard's components.
 	// The shard releases their due deliveries each port phase (sealed
-	// entries from earlier epochs whose cycle has arrived); the engine
-	// seals freshly staged entries at epoch barriers.
+	// entries from earlier rounds whose cycle has arrived); the engine
+	// seals freshly staged entries at the end of every round and barrier.
 	crossIn []CrossPort
 
 	// wokenList queues components marked woken since the last tick phase,
@@ -223,10 +228,13 @@ type shard struct {
 	weight    uint64
 	lastTicks uint64
 
-	// blocks counts the fused multi-cycle blocks this shard has executed
-	// (whole epochs under the global-min scheme, per-shard blocks under
-	// per-shard windows). A wall-time diagnostic like Epochs: never part of
-	// the simulated history, never checkpointed.
+	// win is the shard's effective fused-block window for the current Run
+	// (shardWindows) and clock its position within the window being
+	// advanced; both are executor state, never checkpointed. blocks counts
+	// the fused multi-cycle blocks this shard has executed — a wall-time
+	// diagnostic like Epochs, never part of the simulated history.
+	win    uint64
+	clock  uint64
 	blocks uint64
 
 	// Current execution assignment. Written only between cycles (at phase
@@ -295,8 +303,11 @@ type Engine struct {
 	// Conservative lookahead state. crossPorts lists every registered
 	// cross-shard port; dirtyCross queues the ones sent to since the last
 	// barrier (self-enqueued via their onDirty hook) for sealing.
-	// lookahead is the configured epoch cap (0 = auto); epochs counts
-	// completed multi-cycle epochs for observability.
+	// lookahead is the configured window cap (0 = auto); epochs counts
+	// completed multi-cycle windows for observability. roundClock/roundEnd
+	// publish the current min-clock round to the phase workers (written by
+	// the coordinator before dispatch, read by workers after their channel
+	// receive).
 	crossPorts []CrossPort
 	sinkPorts  []committer
 	crossMu    sync.Mutex
@@ -304,21 +315,8 @@ type Engine struct {
 	spareCross []CrossPort
 	lookahead  uint64
 	epochs     uint64
-	epochN     uint64 // cycles in the epoch being dispatched to workers
-
-	// Per-shard window state (DESIGN.md §14). perShardOff disables the
-	// per-shard executor (the zero value keeps it on); shardWins and
-	// winClocks are scratch slices indexed by shard id — the effective
-	// fused-block window of each shard for the current Run, and each
-	// shard's clock within the window being advanced. roundClock/roundEnd
-	// publish the current min-clock round to the phase workers (written by
-	// the coordinator before dispatch, read by workers after their channel
-	// receive).
-	perShardOff bool
-	shardWins   []uint64
-	winClocks   []uint64
-	roundClock  uint64
-	roundEnd    uint64
+	roundClock uint64
+	roundEnd   uint64
 
 	// First panic recovered from a partition phase. errCount mirrors
 	// len(errs) so the per-cycle Err poll is one atomic load.
@@ -398,13 +396,6 @@ func (e *Engine) AddShard(label string, components ...Ticker) int {
 	return sh.id
 }
 
-// AddPartition registers a group of components that may be ticked on its
-// own goroutine in parallel mode. It is AddShard without a label, kept for
-// harnesses that predate load-balanced partitioning.
-func (e *Engine) AddPartition(components ...Ticker) {
-	e.AddShard("", components...)
-}
-
 // Add registers components into the default (first) shard.
 func (e *Engine) Add(components ...Ticker) {
 	if len(e.shards) == 0 {
@@ -459,14 +450,15 @@ func (e *Engine) AddPort(p committer) {
 	registerPort(e.shards[0], p)
 }
 
-// registerPort wires p for commit by sh: via the dirty-queue hook when the
-// committer supports it, or on the always-commit list otherwise.
+// registerPort wires p for commit by sh through the dirty-queue hook. A
+// committer without SetOnDirty would never be committed, so registering
+// one is a wiring error.
 func registerPort(sh *shard, p committer) {
-	if dn, ok := p.(dirtyNotifier); ok {
-		dn.SetOnDirty(func() { sh.markDirty(p) })
-		return
+	dn, ok := p.(dirtyNotifier)
+	if !ok {
+		panic(fmt.Sprintf("sim: port %T lacks SetOnDirty; register *sim.Port values", p))
 	}
-	sh.ports = append(sh.ports, p)
+	dn.SetOnDirty(func() { sh.markDirty(p) })
 }
 
 // AddPortFor registers input ports of owner: they are committed by the
@@ -506,10 +498,11 @@ func (e *Engine) AddPortFor(owner Ticker, ports ...interface{ Commit(now uint64)
 // AddCrossPortFor registers input ports of owner whose producers live in a
 // different shard. A cross-shard port must declare its link's minimum
 // delivery latency (Port.SetMinLatency) and be sent to with SendFrom; the
-// engine's safe epoch length (conservative lookahead) is the minimum
-// declared latency over all cross-shard ports. Deliveries are buffered at
-// epoch barriers and released on the exact cycle their timestamp dictates,
-// so the simulated history is bit-identical to single-cycle execution.
+// owner shard's safe window (conservative lookahead) is the minimum
+// declared latency over its incoming cross-shard ports. Deliveries are
+// sealed when a round or barrier ends and released on the exact cycle
+// their timestamp dictates, so the simulated history is bit-identical to
+// single-cycle execution.
 // Unlike AddPortFor, the owner must be a registered component.
 func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 	var cs *compState
@@ -535,8 +528,9 @@ func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 	}
 }
 
-// markCrossDirty queues a cross-shard port for sealing at the next epoch
-// barrier. Fired at most once per port per epoch (the port's dirty CAS).
+// markCrossDirty queues a cross-shard port for sealing at the end of the
+// current round or barrier. Fired at most once per port per seal (the
+// port's dirty CAS).
 func (e *Engine) markCrossDirty(p CrossPort) {
 	e.crossMu.Lock()
 	e.dirtyCross = append(e.dirtyCross, p)
@@ -544,28 +538,25 @@ func (e *Engine) markCrossDirty(p CrossPort) {
 }
 
 // AddSinkPort registers a port consumed outside the simulated component
-// graph (a host-side collector). Sink ports are committed at epoch
-// barriers only, so with lookahead > 1 the host observes deliveries
+// graph (a host-side collector). Sink ports are committed at barriers
+// only, so with multi-cycle windows the host observes deliveries
 // quantized to barriers — harness code that reads them between Run calls
 // sees the same history either way.
 func (e *Engine) AddSinkPort(p committer) {
 	e.sinkPorts = append(e.sinkPorts, p)
 }
 
-// SetLookahead caps the epoch length: the number of cycles every partition
-// runs between barriers. 0 (the default) selects the maximum safe value —
-// the minimum declared MinLatency over all cross-shard ports; explicit
-// values are clamped to that bound, so lookahead can only be lowered (1
+// SetLookahead caps every shard's fused-block window: the number of cycles
+// a shard runs between synchronizations. 0 (the default) leaves each shard
+// at its wiring-derived safe window; explicit values can only lower it (1
 // restores classic cycle-by-cycle execution). Results are bit-identical
 // for every setting.
 func (e *Engine) SetLookahead(n uint64) { e.lookahead = n }
 
-// autoLookahead returns the maximum safe engine-wide epoch length: the
-// minimum declared delivery latency over all cross-shard ports (1 when
-// none are registered). On uniform-latency wirings it coincides with the
-// done grid (doneGrid); heterogeneous wirings split the two — epochs stay
-// bounded by the narrowest link while the grid follows the widest shard
-// window.
+// autoLookahead returns the engine-wide minimum declared delivery latency
+// over all cross-shard ports (1 when none are registered). On
+// uniform-latency wirings it coincides with the done grid (doneGrid) and
+// every shard window; heterogeneous wirings split the two.
 func (e *Engine) autoLookahead() uint64 {
 	la := uint64(1)
 	for i, cp := range e.crossPorts {
@@ -576,7 +567,8 @@ func (e *Engine) autoLookahead() uint64 {
 	return la
 }
 
-// Lookahead returns the effective epoch length the engine runs with.
+// Lookahead returns the engine-wide minimum window: the narrowest shard
+// window under the current wiring and SetLookahead cap.
 func (e *Engine) Lookahead() uint64 {
 	la := e.autoLookahead()
 	if e.lookahead > 0 && e.lookahead < la {
@@ -585,28 +577,10 @@ func (e *Engine) Lookahead() uint64 {
 	return la
 }
 
-// Epochs returns the number of completed multi-cycle epochs (epochs of
-// length 1 are not counted: they take the classic per-cycle path). Under
-// per-shard windows one "epoch" is one grid window; the per-shard block
-// counts are in WindowReport.
+// Epochs returns the number of completed multi-cycle windows (advances of
+// a single cycle take the Step path and are not counted). The per-shard
+// block counts are in WindowReport.
 func (e *Engine) Epochs() uint64 { return e.epochs }
-
-// SetPerShardWindows toggles per-shard fused-block windows inside Run
-// (on by default): with heterogeneous cross-port latencies every shard
-// fuses up to its own safe window — the minimum declared latency over its
-// incoming cross ports — instead of the engine-wide minimum, so a shard
-// fed only by latency-8 links runs 8-cycle blocks next to a latency-1
-// neighbor stepping cycle by cycle. Purely an executor choice: simulated
-// histories, stop cycles, and the done/watchdog grid are bit-identical
-// either way. Off restores the global-min epoch scheme (DESIGN.md §12);
-// uniform-latency wirings use that scheme regardless, because every
-// per-shard window already equals the global minimum.
-func (e *Engine) SetPerShardWindows(on bool) { e.perShardOff = !on }
-
-// PerShardWindows reports whether per-shard fused-block windows are
-// enabled (they still only engage when the wiring makes some shard's
-// window exceed the global minimum).
-func (e *Engine) PerShardWindows() bool { return !e.perShardOff }
 
 // shardBaseWindow is the shard's wiring-determined safe block length: the
 // minimum declared delivery latency over its incoming cross-shard ports,
@@ -626,10 +600,10 @@ func shardBaseWindow(sh *shard) uint64 {
 // evaluates the done condition and the watchdog: the maximum per-shard
 // base window (1 when no cross ports are registered). Like autoLookahead
 // it is a pure function of the wiring — independent of SetLookahead and
-// of the per-shard toggle — so stop cycles are identical across every
-// executor setting; on uniform-latency wirings it equals autoLookahead,
-// preserving the historical grid. It is also the window pitch of
-// per-shard execution: all shard clocks realign at grid multiples.
+// of the executor — so stop cycles are identical across every executor
+// setting; on uniform-latency wirings it equals autoLookahead, preserving
+// the historical grid. It is also the window pitch of advanceWindow: all
+// shard clocks realign at grid multiples.
 func (e *Engine) doneGrid() uint64 {
 	g := uint64(1)
 	for _, sh := range e.shards {
@@ -640,19 +614,13 @@ func (e *Engine) doneGrid() uint64 {
 	return g
 }
 
-// shardWindows fills e.shardWins with each shard's effective fused-block
-// window — the base window clamped by the SetLookahead override, shards
-// without cross inputs bounded by the grid — and returns the slice along
-// with the largest window. Per-shard execution pays off exactly when
-// maxWin exceeds the global-min window.
-func (e *Engine) shardWindows(grid uint64) (wins []uint64, maxWin uint64) {
-	if cap(e.shardWins) < len(e.shards) {
-		e.shardWins = make([]uint64, len(e.shards))
-	}
-	wins = e.shardWins[:len(e.shards)]
-	e.shardWins = wins
+// shardWindows sets each shard's effective fused-block window — the base
+// window clamped by the SetLookahead override, shards without cross inputs
+// bounded by the grid — and returns the largest. Run steps cycle by cycle
+// exactly when that is 1.
+func (e *Engine) shardWindows(grid uint64) (maxWin uint64) {
 	maxWin = 1
-	for i, sh := range e.shards {
+	for _, sh := range e.shards {
 		w := shardBaseWindow(sh)
 		if w == 0 || w > grid {
 			w = grid
@@ -660,12 +628,10 @@ func (e *Engine) shardWindows(grid uint64) (wins []uint64, maxWin uint64) {
 		if e.lookahead > 0 && e.lookahead < w {
 			w = e.lookahead
 		}
-		wins[i] = w
-		if w > maxWin {
-			maxWin = w
-		}
+		sh.win = w
+		maxWin = max(maxWin, w)
 	}
-	return wins, maxWin
+	return maxWin
 }
 
 // ShardWindow describes one shard's fused-block window: Window is the
@@ -682,13 +648,13 @@ type ShardWindow struct {
 
 // WindowReport returns the per-shard window picture under the current
 // wiring and SetLookahead setting, in shard-id order. Windows are pure
-// functions of the wiring; Blocks depend on the executor (global-min
-// counts whole epochs, per-shard counts per-shard blocks).
+// functions of the wiring and the cap; Blocks depend on how the runs were
+// sliced into windows.
 func (e *Engine) WindowReport() []ShardWindow {
-	wins, _ := e.shardWindows(e.doneGrid())
+	e.shardWindows(e.doneGrid())
 	out := make([]ShardWindow, len(e.shards))
 	for i, sh := range e.shards {
-		out[i] = ShardWindow{Shard: sh.id, Label: sh.label, Window: wins[i], Blocks: sh.blocks}
+		out[i] = ShardWindow{Shard: sh.id, Label: sh.label, Window: sh.win, Blocks: sh.blocks}
 	}
 	return out
 }
@@ -852,54 +818,13 @@ func (e *Engine) Step() {
 	e.barrier()
 }
 
-// advance runs the next n cycles as one epoch, including the barrier that
-// follows them. n == 1 is exactly Step; n > 1 takes the fused epoch path:
-// each partition runs its shards' three phases cycle by cycle with no
-// global synchronization until the epoch ends. Safe only when every
-// inter-shard port is cross-registered with MinLatency >= n (guaranteed by
-// the Lookahead clamp), because mid-epoch a shard only observes its own
-// state plus deliveries sealed at earlier barriers.
-func (e *Engine) advance(n uint64) {
-	if n <= 1 {
-		e.Step()
-		return
-	}
-	if e.errCount.Load() > 0 {
-		return
-	}
-	e.ensureParts()
-	e.epochN = n
-	switch {
-	case !e.parallel:
-		for _, p := range e.parts {
-			p.runEpochPhases(e.now, n)
-		}
-	case e.workersOn:
-		e.pending.Store(int32(len(e.parts)))
-		for _, ch := range e.workCh {
-			ch <- opEpoch
-		}
-		<-e.doneCh
-	default:
-		for pi := range e.parts {
-			e.runEpochPart(pi)
-		}
-	}
-	if e.prof != nil {
-		e.prof.steps += n
-	}
-	e.now += n
-	e.epochs++
-	e.barrier()
-}
-
-// barrier is the epoch boundary: freshly staged cross-shard sends are
+// barrier closes a Step or a window: freshly staged cross-shard sends are
 // sealed into their ports' future lists, entries due at the next cycle are
 // released, and sink ports are committed. e.now is the next cycle to
-// execute. A send at cycle u arrived with at = u + lat >= epoch-end, so
-// sealing cannot race the epoch's own mid-cycle releases; the release here
-// covers exactly the lat == epoch-length envelopes that fall due
-// immediately (the classic next-cycle delivery when lookahead is 1).
+// execute. A send at cycle u arrived with at = u + lat >= window end, so
+// sealing cannot race the window's own mid-cycle releases; the release
+// here covers exactly the envelopes that fall due immediately (the classic
+// next-cycle delivery under Step).
 func (e *Engine) barrier() {
 	if len(e.crossPorts) == 0 && len(e.sinkPorts) == 0 {
 		return
@@ -918,7 +843,7 @@ func (e *Engine) barrier() {
 // sealCross merges every cross-shard port's freshly staged sends into its
 // future list (the Seal is ordered by (release,key,seq), so the merge is
 // independent of the drain order here). Called with all phase work idle:
-// at epoch barriers, and at the end of every per-shard round.
+// at barriers, and at the end of every min-clock round.
 func (e *Engine) sealCross() {
 	e.crossMu.Lock()
 	dirty := e.dirtyCross
@@ -936,36 +861,30 @@ func (e *Engine) sealCross() {
 // picks the minimum per-shard clock m; every shard whose clock is m runs
 // one fused block of min(its window, window end - m) cycles — releasing
 // deliveries due at the block's first cycle, then tick/port/commit per
-// cycle exactly like an epoch — and the round ends by sealing freshly
-// staged cross-shard sends while all phase work is idle. Safe because a
-// shard runnable at the global minimum clock m has every producer at
-// clock >= m, so anything it could receive before m + window was sent at
-// least one full link latency earlier and is already sealed; and no
-// in-flight send can be due before its consumer's clock (latency >= the
-// consumer's window). All clocks meet at the window end, so between
-// windows the engine state is indistinguishable from global-min
+// cycle — and the round ends by sealing freshly staged cross-shard sends
+// while all phase work is idle. Safe because a shard runnable at the
+// global minimum clock m has every producer at clock >= m, so anything it
+// could receive before m + window was sent at least one full link latency
+// earlier and is already sealed; and no in-flight send can be due before
+// its consumer's clock (latency >= the consumer's window). When every
+// shard's window covers n — any uniform wiring at auto lookahead — the
+// window is a single round. All clocks meet at the window end, so between
+// windows the engine state is indistinguishable from cycle-by-cycle
 // execution — checkpoints need no extra state — and the closing barrier
-// releases due deliveries and commits sinks exactly like advance.
+// releases due deliveries and commits sinks exactly like Step's.
 func (e *Engine) advanceWindow(n uint64) {
 	if e.errCount.Load() > 0 {
 		return
 	}
 	e.ensureParts()
 	end := e.now + n
-	if cap(e.winClocks) < len(e.shards) {
-		e.winClocks = make([]uint64, len(e.shards))
-	}
-	clocks := e.winClocks[:len(e.shards)]
-	e.winClocks = clocks
-	for i := range clocks {
-		clocks[i] = e.now
+	for _, sh := range e.shards {
+		sh.clock = e.now
 	}
 	for {
 		m := end
-		for _, c := range clocks {
-			if c < m {
-				m = c
-			}
+		for _, sh := range e.shards {
+			m = min(m, sh.clock)
 		}
 		if m >= end {
 			break
@@ -973,16 +892,8 @@ func (e *Engine) advanceWindow(n uint64) {
 		e.roundClock, e.roundEnd = m, end
 		switch {
 		case !e.parallel:
-			for _, sh := range e.shards {
-				if clocks[sh.id] != m {
-					continue
-				}
-				w := e.shardWins[sh.id]
-				if r := end - m; r < w {
-					w = r
-				}
-				runShardBlock(sh, m, w)
-				clocks[sh.id] = m + w
+			for _, p := range e.parts {
+				p.runRound(m, end)
 			}
 		case e.workersOn:
 			e.pending.Store(int32(len(e.parts)))
@@ -1008,32 +919,34 @@ func (e *Engine) advanceWindow(n uint64) {
 	e.barrier()
 }
 
+// runRound runs the partition's share of the min-clock round at m: every
+// owned shard whose clock is m runs one fused block, clipped to the window
+// end. Each shard's clock lives on its own struct, so partitions write
+// disjoint memory.
+func (p *partition) runRound(m, end uint64) {
+	for _, sh := range p.shards {
+		if sh.clock != m {
+			continue
+		}
+		n := min(sh.win, end-m)
+		runShardBlock(sh, m, n)
+		sh.clock = m + n
+	}
+}
+
 // runRoundPart executes one partition's share of a min-clock round under
-// panic recovery: every owned shard whose clock matches the round runs
-// its fused block. Distinct partitions touch disjoint winClocks entries,
-// and the round bounds were published before dispatch.
+// panic recovery; the round bounds were published before dispatch.
 func (e *Engine) runRoundPart(pi int) {
 	p := e.parts[pi]
 	defer e.recoverPartition(pi, p)
-	m, end := e.roundClock, e.roundEnd
-	for _, sh := range p.shards {
-		if e.winClocks[sh.id] != m {
-			continue
-		}
-		w := e.shardWins[sh.id]
-		if r := end - m; r < w {
-			w = r
-		}
-		runShardBlock(sh, m, w)
-		e.winClocks[sh.id] = m + w
-	}
+	p.runRound(e.roundClock, e.roundEnd)
 }
 
 // runShardBlock runs one shard's fused block of n cycles starting at
 // start: deliveries already due are released first (sealed entries from
 // earlier rounds whose cycle has arrived — later cycles release mid-block
-// in portPhase), then the three phases run cycle by cycle with the same
-// shard-major locality as runEpochPhases.
+// in portPhase), then the three phases run cycle by cycle, shard-major for
+// cache locality.
 func runShardBlock(sh *shard, start, n uint64) {
 	for _, cp := range sh.crossIn {
 		if cp.NextDue() <= start {
@@ -1133,14 +1046,11 @@ func (sh *shard) tickPhase(now uint64) {
 }
 
 // portPhase commits the ports that were sent to since the last port phase
-// (self-enqueued via markDirty), plus any legacy always-commit registrants.
+// (self-enqueued via markDirty).
 func (sh *shard) portPhase(now uint64) {
 	var t0 time.Time
 	if sh.prof != nil {
 		t0 = time.Now()
-	}
-	for _, pt := range sh.ports {
-		pt.Commit(now)
 	}
 	sh.dirtyMu.Lock()
 	dirty := sh.dirtyPorts
@@ -1151,8 +1061,8 @@ func (sh *shard) portPhase(now uint64) {
 		dirty[i] = nil
 	}
 	sh.spareDirty = dirty[:0]
-	// Release cross-shard deliveries falling due mid-epoch: envelopes
-	// sealed at earlier barriers whose cycle has arrived. NextDue is a
+	// Release cross-shard deliveries falling due mid-block: envelopes
+	// sealed at earlier rounds whose cycle has arrived. NextDue is a
 	// cached field, so idle cross ports cost one load.
 	for _, cp := range sh.crossIn {
 		if cp.NextDue() <= now+1 {
@@ -1261,32 +1171,6 @@ func (e *Engine) runPhase(pi, ph int) {
 	}
 }
 
-// runEpochPhases runs n cycles of every shard in the partition, shard by
-// shard: each shard executes its whole epoch (tick/port/commit per cycle)
-// before the next shard starts, maximizing cache locality. Valid because
-// shards interact only through cross-shard ports, whose deliveries within
-// the epoch were all sealed at earlier barriers.
-func (p *partition) runEpochPhases(start, n uint64) {
-	end := start + n
-	for _, sh := range p.shards {
-		for t := start; t < end; t++ {
-			sh.tickPhase(t)
-			sh.portPhase(t)
-			sh.commitPhase(t)
-		}
-		sh.blocks++
-	}
-}
-
-// runEpochPart executes one partition's epoch under panic recovery
-// (parallel-mode semantics); the epoch length was published in e.epochN
-// before dispatch.
-func (e *Engine) runEpochPart(pi int) {
-	p := e.parts[pi]
-	defer e.recoverPartition(pi, p)
-	p.runEpochPhases(e.now, e.epochN)
-}
-
 // recoverPartition converts a component panic in partition p into a
 // recorded error; deferred by every parallel-mode execution wrapper.
 func (e *Engine) recoverPartition(pi int, p *partition) {
@@ -1305,13 +1189,9 @@ func (e *Engine) recoverPartition(pi int, p *partition) {
 	}
 }
 
-// opEpoch is the worker op dispatching a whole fused epoch (length in
-// e.epochN); opRound dispatches one per-shard min-clock round (bounds in
+// opRound is the worker op dispatching one min-clock round (bounds in
 // e.roundClock/e.roundEnd); ops 0-2 are the single-cycle phases.
-const (
-	opEpoch uint8 = 3
-	opRound uint8 = 4
-)
+const opRound uint8 = 3
 
 // stepWorkers drives the persistent workers through the three phases. The
 // barrier per phase is one atomic decrement per partition plus a single
@@ -1328,12 +1208,9 @@ func (e *Engine) stepWorkers() {
 
 func (e *Engine) workerLoop(pi int, ch <-chan uint8) {
 	for op := range ch {
-		switch op {
-		case opEpoch:
-			e.runEpochPart(pi)
-		case opRound:
+		if op == opRound {
 			e.runRoundPart(pi)
-		default:
+		} else {
 			e.runPhase(pi, int(op))
 		}
 		if e.pending.Add(-1) == 0 {
@@ -1505,18 +1382,14 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	}
 	// The done condition and the watchdog are evaluated only on an absolute
 	// cycle grid whose pitch is the done grid — a pure function of the
-	// wiring, NOT of any SetLookahead override or the per-shard toggle — so
-	// every executor setting observes completion (and wedges) on the
-	// identical cycle. Advances are clipped to realign with the grid after
-	// a mid-grid entry (e.g. a budget-sliced timeline run) and to respect
-	// the remaining budget, so no grid cycle is ever skipped and budget
-	// stops land exactly. Per-shard windows engage only when the wiring is
-	// actually heterogeneous (some shard's window exceeds the global
-	// minimum); uniform wirings keep the global-min epoch path.
+	// wiring, NOT of any SetLookahead override — so every executor setting
+	// observes completion (and wedges) on the identical cycle. Windows are
+	// clipped to realign with the grid after a mid-grid entry (e.g. a
+	// budget-sliced timeline run) and to respect the remaining budget, so no
+	// grid cycle is ever skipped and budget stops land exactly. When every
+	// shard window is 1 the engine steps cycle by cycle.
 	grid := e.doneGrid()
-	look := e.Lookahead()
-	_, maxWin := e.shardWindows(grid)
-	perShard := !e.perShardOff && maxWin > look
+	maxWin := e.shardWindows(grid)
 	start := e.now
 	for {
 		if e.now%grid == 0 && done != nil && done() {
@@ -1526,20 +1399,14 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 		if left == 0 {
 			break
 		}
-		n := look
-		if perShard {
-			n = grid
+		n := uint64(1)
+		if maxWin > 1 {
+			n = min(grid-e.now%grid, left)
 		}
-		if r := grid - e.now%grid; r < n {
-			n = r
-		}
-		if left < n {
-			n = left
-		}
-		if perShard && n > 1 {
+		if n > 1 {
 			e.advanceWindow(n)
 		} else {
-			e.advance(n)
+			e.Step()
 		}
 		if e.repartEvery > 0 && e.now >= e.nextRepart {
 			e.repartition()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -120,7 +122,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for s := 0; s < 4; s++ {
 				senders = append(senders, &portSender{id: uint64(p*4 + s), port: port})
 			}
-			e.AddPartition(senders...)
+			e.AddShard("", senders...)
 		}
 		return e, port
 	}
@@ -163,7 +165,7 @@ func TestParallelPhaseBarrier(t *testing.T) {
 	e.SetParallel(true)
 	e.SetMaxPartitions(16)
 	for p := 0; p < 16; p++ {
-		e.AddPartition(mk())
+		e.AddShard("", mk())
 	}
 	e.Step()
 }
@@ -384,7 +386,7 @@ func TestWorkerBarrierPhases(t *testing.T) {
 	e.SetParallel(true)
 	e.SetMaxPartitions(parts)
 	for p := 0; p < parts; p++ {
-		e.AddPartition(&funcTicker{
+		e.AddShard("", &funcTicker{
 			tick: func(uint64) { inTick.Add(1) },
 			commit: func(uint64) {
 				if v := inTick.Load(); v%parts != 0 {
@@ -410,7 +412,7 @@ func TestWorkerExecutorMatchesSerial(t *testing.T) {
 		e.SetMaxPartitions(4)
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
 		e.AddPort(port)
 		if workers {
@@ -511,4 +513,23 @@ func TestRNGFloat64Range(t *testing.T) {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
 	}
+}
+
+// plainCommitter has Commit but no SetOnDirty hook: the engine could
+// never learn it was sent to, so registering it must fail loudly.
+type plainCommitter struct{}
+
+func (plainCommitter) Commit(uint64) {}
+
+// TestRegisterPortRequiresDirtyHook: port registration accepts only
+// committers with the dirty-queue hook (every *Port has one).
+func TestRegisterPortRequiresDirtyHook(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "SetOnDirty") {
+			t.Fatalf("registering a hookless committer: recovered %v, want a SetOnDirty panic", r)
+		}
+	}()
+	e.AddPort(plainCommitter{})
 }

@@ -107,9 +107,8 @@ func (e *Engine) SetTrace(t *Trace) {
 }
 
 // LabelPartition names a shard in the exported trace (e.g. "sub3",
-// "uncore"); the index is the shard id (AddShard's return value, which for
-// AddPartition callers equals the registration order). Call after
-// Engine.SetTrace.
+// "uncore"); the index is the shard id (AddShard's return value, which
+// equals the registration order). Call after Engine.SetTrace.
 func (t *Trace) LabelPartition(pi int, label string) {
 	if pi >= 0 && pi < len(t.labels) {
 		t.labels[pi] = label

@@ -153,7 +153,7 @@ func TestProfileAttributesPhases(t *testing.T) {
 		e.SetParallel(parallel)
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
 		e.AddPort(port)
 		prof := NewProfile()
@@ -190,7 +190,7 @@ func TestProfiledSerialMatchesUnprofiled(t *testing.T) {
 		e := NewEngine()
 		port := NewPort[uint64](0)
 		for p := 0; p < 2; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
 		e.AddPort(port)
 		if profile {

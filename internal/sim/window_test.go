@@ -13,12 +13,11 @@ import (
 // c), b's takes 2 (fed by a), c's takes 1 (fed by b). The per-shard safe
 // windows are therefore 8/2/1 while the global-min window is 1 — the
 // smallest machine on which per-shard windows do something.
-func buildTriangle(look uint64, parallel, perShard bool) (*Engine, [3]*pinger) {
+func buildTriangle(look uint64, parallel bool) (*Engine, [3]*pinger) {
 	e := NewEngine()
 	e.SetParallel(parallel)
 	e.SetMaxPartitions(3)
 	e.SetLookahead(look)
-	e.SetPerShardWindows(perShard)
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)
 	pc := NewPort[uint64](0)
@@ -37,25 +36,38 @@ func buildTriangle(look uint64, parallel, perShard bool) (*Engine, [3]*pinger) {
 	return e, [3]*pinger{a, b, c}
 }
 
+// shardWins returns every shard's effective window after shardWindows.
+func shardWins(e *Engine) []uint64 {
+	wins := make([]uint64, len(e.shards))
+	for i, sh := range e.shards {
+		wins[i] = sh.win
+	}
+	return wins
+}
+
 // TestWindowPlanHetero: the per-shard windows, the done grid, and the
 // window report follow the wiring — min incoming latency per shard, max
 // window as the grid — and SetLookahead clamps each window individually.
 func TestWindowPlanHetero(t *testing.T) {
-	e, _ := buildTriangle(0, false, true)
+	e, _ := buildTriangle(0, false)
 	if got := e.doneGrid(); got != 8 {
 		t.Fatalf("done grid %d, want 8", got)
 	}
 	if got := e.Lookahead(); got != 1 {
 		t.Fatalf("global-min lookahead %d, want 1", got)
 	}
-	wins, maxWin := e.shardWindows(e.doneGrid())
-	if fmt.Sprint(wins) != "[8 2 1]" || maxWin != 8 {
+	maxWin := e.shardWindows(e.doneGrid())
+	if wins := shardWins(e); fmt.Sprint(wins) != "[8 2 1]" || maxWin != 8 {
 		t.Fatalf("windows %v max %d, want [8 2 1] max 8", wins, maxWin)
 	}
 	e.SetLookahead(2)
-	wins, maxWin = e.shardWindows(e.doneGrid())
-	if fmt.Sprint(wins) != "[2 2 1]" || maxWin != 2 {
+	maxWin = e.shardWindows(e.doneGrid())
+	if wins := shardWins(e); fmt.Sprint(wins) != "[2 2 1]" || maxWin != 2 {
 		t.Fatalf("clamped windows %v max %d, want [2 2 1] max 2", wins, maxWin)
+	}
+	e.SetLookahead(1)
+	if maxWin = e.shardWindows(e.doneGrid()); maxWin != 1 {
+		t.Fatalf("lookahead-1 max window %d, want 1 (the Step path)", maxWin)
 	}
 	// The grid ignores the clamp: stop cycles are a wiring fact.
 	if got := e.doneGrid(); got != 8 {
@@ -76,8 +88,8 @@ func TestWindowPlanHetero(t *testing.T) {
 	peer := &counterTicker{}
 	e2.AddShard("peer", peer)
 	e2.AddCrossPortFor(peer, p)
-	wins, _ = e2.shardWindows(e2.doneGrid())
-	if fmt.Sprint(wins) != "[4 4]" {
+	e2.shardWindows(e2.doneGrid())
+	if wins := shardWins(e2); fmt.Sprint(wins) != "[4 4]" {
 		t.Fatalf("portless-shard windows %v, want [4 4]", wins)
 	}
 }
@@ -86,7 +98,7 @@ func TestWindowPlanHetero(t *testing.T) {
 // windows, every send still arrives on exactly cycle u + latency.
 func TestWindowDeliveryTiming(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		e, ps := buildTriangle(0, parallel, true)
+		e, ps := buildTriangle(0, parallel)
 		if _, err := e.Run(200, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("parallel=%v: %v", parallel, err)
 		}
@@ -116,18 +128,18 @@ func TestWindowDeliveryTiming(t *testing.T) {
 
 // TestWindowIdentityAcrossModes is the tentpole contract at engine level:
 // on the heterogeneous machine the receipt histories are bit-identical
-// across {per-shard windows on/off} x {serial, parallel} x lookahead
-// settings, and the per-shard path demonstrably fuses multi-cycle blocks
-// for the wide shard.
+// across {serial, parallel} x lookahead settings — lookahead 1 being the
+// cycle-by-cycle Step path — and the window path demonstrably fuses
+// multi-cycle blocks for the wide shard.
 func TestWindowIdentityAcrossModes(t *testing.T) {
-	run := func(look uint64, parallel, perShard bool) ([3][][2]uint64, []ShardWindow) {
-		e, ps := buildTriangle(look, parallel, perShard)
+	run := func(look uint64, parallel bool) ([3][][2]uint64, []ShardWindow) {
+		e, ps := buildTriangle(look, parallel)
 		if _, err := e.Run(1000, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("look=%d parallel=%v perShard=%v: %v", look, parallel, perShard, err)
+			t.Fatalf("look=%d parallel=%v: %v", look, parallel, err)
 		}
 		return [3][][2]uint64{ps[0].log, ps[1].log, ps[2].log}, e.WindowReport()
 	}
-	ref, _ := run(1, false, false)
+	ref, _ := run(1, false)
 	for i, log := range ref {
 		if len(log) == 0 {
 			t.Fatalf("reference: pinger%d received nothing", i+1)
@@ -135,19 +147,16 @@ func TestWindowIdentityAcrossModes(t *testing.T) {
 	}
 	for _, look := range []uint64{0, 1, 2, 8} {
 		for _, parallel := range []bool{false, true} {
-			for _, perShard := range []bool{false, true} {
-				got, wr := run(look, parallel, perShard)
-				if fmt.Sprint(got) != fmt.Sprint(ref) {
-					t.Fatalf("look=%d parallel=%v perShard=%v: receipt history diverged",
-						look, parallel, perShard)
-				}
-				if perShard && look == 0 {
-					// Shard a (window 8) must have fused: far fewer blocks
-					// than cycles. 1000 cycles / window 8 = 125 blocks.
-					if wr[0].Blocks == 0 || wr[0].Blocks > 200 {
-						t.Fatalf("parallel=%v: wide shard ran %d blocks over 1000 cycles, want ~125",
-							parallel, wr[0].Blocks)
-					}
+			got, wr := run(look, parallel)
+			if fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Fatalf("look=%d parallel=%v: receipt history diverged", look, parallel)
+			}
+			if look == 0 {
+				// Shard a (window 8) must have fused: far fewer blocks
+				// than cycles. 1000 cycles / window 8 = 125 blocks.
+				if wr[0].Blocks == 0 || wr[0].Blocks > 200 {
+					t.Fatalf("parallel=%v: wide shard ran %d blocks over 1000 cycles, want ~125",
+						parallel, wr[0].Blocks)
 				}
 			}
 		}
@@ -157,42 +166,42 @@ func TestWindowIdentityAcrossModes(t *testing.T) {
 // TestWindowQuantumStop: budget stops land on the exact cycle even when
 // the budget is not a multiple of the grid (all shard clocks clamp to the
 // stop), resumes realign with the absolute grid, and a done condition
-// stops on the identical cycle with per-shard windows on or off.
+// stops on the identical cycle at full windows and at lookahead 1.
 func TestWindowQuantumStop(t *testing.T) {
-	for _, perShard := range []bool{false, true} {
-		e, _ := buildTriangle(0, false, perShard)
+	for _, look := range []uint64{0, 1, 2} {
+		e, _ := buildTriangle(look, false)
 		if _, err := e.Run(13, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("perShard=%v: %v", perShard, err)
+			t.Fatalf("look=%d: %v", look, err)
 		}
 		if e.Now() != 13 {
-			t.Fatalf("perShard=%v: stopped at %d, want 13", perShard, e.Now())
+			t.Fatalf("look=%d: stopped at %d, want 13", look, e.Now())
 		}
 		if _, err := e.Run(10, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("perShard=%v resume: %v", perShard, err)
+			t.Fatalf("look=%d resume: %v", look, err)
 		}
 		if e.Now() != 23 {
-			t.Fatalf("perShard=%v: resumed to %d, want 23", perShard, e.Now())
+			t.Fatalf("look=%d: resumed to %d, want 23", look, e.Now())
 		}
 	}
-	stopAt := func(perShard bool) uint64 {
-		e, ps := buildTriangle(0, false, perShard)
+	stopAt := func(look uint64) uint64 {
+		e, ps := buildTriangle(look, false)
 		stop, err := e.Run(1000, func() bool { return ps[0].sent >= 20 })
 		if err != nil {
-			t.Fatalf("perShard=%v: %v", perShard, err)
+			t.Fatalf("look=%d: %v", look, err)
 		}
 		return stop
 	}
-	if on, off := stopAt(true), stopAt(false); on != off {
-		t.Fatalf("done stop diverged: per-shard %d, global %d", on, off)
+	if full, one := stopAt(0), stopAt(1); full != one {
+		t.Fatalf("done stop diverged: full windows %d, lookahead 1 %d", full, one)
 	}
 }
 
 // TestWindowWatchdogIdentity: the watchdog observes the simulation on the
 // wiring grid, so a wedged heterogeneous run dies on the identical cycle
-// with the identical diagnostic with per-shard windows on or off.
+// with the identical diagnostic at full windows and at lookahead 1.
 func TestWindowWatchdogIdentity(t *testing.T) {
-	run := func(perShard bool) (uint64, error) {
-		e, ps := buildTriangle(0, false, perShard)
+	run := func(look uint64) (uint64, error) {
+		e, ps := buildTriangle(look, false)
 		for _, p := range ps {
 			p.every = 0
 		}
@@ -201,27 +210,27 @@ func TestWindowWatchdogIdentity(t *testing.T) {
 		e.Add(&wedgedHealth{})
 		return e.Run(100_000, nil)
 	}
-	refCycle, refErr := run(false)
+	refCycle, refErr := run(1)
 	if refErr == nil || !errors.Is(refErr, ErrStalled) {
-		t.Fatalf("global-window wedge: %v", refErr)
+		t.Fatalf("lookahead-1 wedge: %v", refErr)
 	}
-	cycle, err := run(true)
+	cycle, err := run(0)
 	if err == nil || !errors.Is(err, ErrStalled) {
-		t.Fatalf("per-shard wedge: %v", err)
+		t.Fatalf("full-window wedge: %v", err)
 	}
 	if cycle != refCycle || err.Error() != refErr.Error() {
-		t.Fatalf("per-shard watchdog fired at %d (%v), global at %d (%v)",
+		t.Fatalf("full-window watchdog fired at %d (%v), lookahead 1 at %d (%v)",
 			cycle, err, refCycle, refErr)
 	}
 }
 
 // TestWindowCheckpointRoundTrip: per-shard clocks always realign at run
-// boundaries, so a checkpoint taken mid-grid under per-shard windows
-// needs no extra state and restores into a global-window engine (and
-// vice versa) onto the identical history.
+// boundaries, so a checkpoint taken mid-grid at full windows needs no
+// extra state and restores into a lookahead-1 engine (and vice versa)
+// onto the identical history.
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	ref := func() [3][][2]uint64 {
-		e, ps := buildTriangle(1, false, false)
+		e, ps := buildTriangle(1, false)
 		if _, err := e.Run(200, nil); !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
@@ -231,19 +240,18 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 
 	for _, dir := range []struct {
 		name             string
-		srcPS, dstPS     bool
 		srcLook, dstLook uint64
 		srcPar, dstPar   bool
 	}{
-		{"per-shard->global", true, false, 0, 1, false, false},
-		{"global->per-shard", false, true, 1, 0, false, true},
+		{"full->one", 0, 1, false, false},
+		{"one->full", 1, 0, false, true},
 	} {
-		src, sps := buildTriangle(dir.srcLook, dir.srcPar, dir.srcPS)
+		src, sps := buildTriangle(dir.srcLook, dir.srcPar)
 		if _, err := src.Run(13, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: %v", dir.name, err)
 		}
 		blob := encodeTriangle(t, src, sps)
-		dst, dps := buildTriangle(dir.dstLook, dir.dstPar, dir.dstPS)
+		dst, dps := buildTriangle(dir.dstLook, dir.dstPar)
 		decodeTriangle(t, blob, dst, dps)
 		if dst.Now() != 13 {
 			t.Fatalf("%s: restored engine at cycle %d, want 13", dir.name, dst.Now())
