@@ -54,9 +54,8 @@ func main() {
 	stage := flag.Bool("stage", false, "stage task datasets into the SPMs (§3.6)")
 	prefetch := flag.Bool("prefetch", false, "enable the sequential SPM prefetcher (§7)")
 	mesh := flag.Bool("mesh", false, "use the 2D-mesh baseline interconnect instead of hierarchical rings")
-	executor := flag.String("executor", "parallel", "engine executor: serial, parallel (PDES-style), or auto; results identical for every executor")
-	partitions := flag.Int("partitions", 0, "parallel partition cap (0 = one per CPU); results identical at any value")
-	repartEvery := flag.Uint64("repartition-every", 0, "rebalance shard->partition assignment every N cycles (0 = assign once)")
+	executor := flag.String("executor", "parallel", "engine executor: serial (one partition) or parallel (PDES-style, -partitions partitions); results identical for every executor")
+	partitions := flag.Int("partitions", 0, "parallel partition count (0 = one per CPU); results identical at any value")
 	linkLatency := flag.Uint64("link-latency", 0, "cross-shard link latency in cycles (0 = classic 1-cycle links); latencies >1 license multi-cycle engine epochs")
 	lookahead := flag.Uint64("lookahead", 0, "cap every shard's fused-block window in cycles (0 = auto: the full window its link latencies allow; 1 = cycle by cycle); results identical at any setting")
 	dramLatency := flag.Uint64("dram-latency", 0, "memory-class link latency in cycles: MC ring ejects and direct datapaths (0 = -link-latency)")
@@ -113,7 +112,6 @@ func main() {
 	}
 	cfg.Executor = *executor
 	cfg.Partitions = *partitions
-	cfg.RepartitionEvery = *repartEvery
 	cfg.LinkLatency = *linkLatency
 	cfg.Lookahead = *lookahead
 	cfg.DRAMLatency = *dramLatency

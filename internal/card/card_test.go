@@ -9,6 +9,7 @@ import (
 	"smarco/internal/chip"
 	"smarco/internal/fault"
 	"smarco/internal/kernels"
+	"smarco/internal/noc"
 	"smarco/internal/sim"
 	"smarco/internal/snapshot"
 )
@@ -326,6 +327,41 @@ func TestPCIeFaultsRetransmit(t *testing.T) {
 	}
 	if err := w.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComponentPanicKillsProcessor: a component panic on a default
+// (serial) chip is a processor death like a watchdog stall: the card run
+// completes on the survivor, the workload verifies, and the dead
+// processor's report names the engine error.
+func TestComponentPanicKillsProcessor(t *testing.T) {
+	w := kernels.MustNew("kmp", kernels.Config{Seed: 11, Tasks: 24, Scale: 512})
+	c := MustNew(smallCardConfig(2), w.Mem)
+	if err := c.Start(w.Tasks); err != nil {
+		t.Fatal(err)
+	}
+	// A read response for a request core 0 never issued makes it panic.
+	const bogus = 1 << 60
+	resp := noc.MemResp{ID: bogus, Size: 8}
+	c.Chips()[0].HostSend(noc.NewMemRespPacket(bogus, noc.MCNode(0), noc.CoreNode(0), resp, false, 0))
+	if _, err := c.Resume(60_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Check(); err != nil {
+		t.Fatalf("workload broken after a processor panic: %v", err)
+	}
+	r := c.Report()
+	accounted(t, r)
+	if r.Completed != len(w.Tasks) {
+		t.Fatalf("completed %d of %d after the panic: %+v", r.Completed, len(w.Tasks), r)
+	}
+	if len(r.DeadChips) != 1 || r.DeadChips[0].Processor != 0 {
+		t.Fatalf("dead chips = %+v, want processor 0 only", r.DeadChips)
+	}
+	for _, want := range []string{"panicked", "unknown request"} {
+		if cause := r.DeadChips[0].Cause; !strings.Contains(cause, want) {
+			t.Fatalf("processor 0 cause lacks %q: %s", want, cause)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ package chip
 
 import (
 	"fmt"
-	"runtime"
 
 	"smarco/internal/cpu"
 	"smarco/internal/dram"
@@ -44,21 +43,17 @@ type Config struct {
 	Topology string
 	// MeshLink configures the mesh baseline's links.
 	MeshLink noc.MeshLinkConfig
-	// Executor picks the engine executor: "serial", "parallel" (the
-	// PDES-style partition-parallel executor), or "auto" (parallel only
-	// when the host has more than one CPU and the chip is at least
-	// autoParallelCores cores — the measured crossover below which
-	// per-cycle barrier overhead outweighs the concurrency). Empty means
-	// serial. Results are identical for every executor.
+	// Executor picks the engine's partition count: "serial" (or empty)
+	// runs one partition on the calling goroutine; "parallel" runs the
+	// PDES-style executor with Partitions partitions. Results are
+	// identical for every executor, and a component panic is reported as
+	// a Run error under both.
 	Executor string
-	// Partitions caps the parallel executor's partition count (0 = one per
-	// available CPU). Purely a wall-time knob: results are identical for
-	// every value.
+	// Partitions is the "parallel" executor's partition count (0 = one
+	// per available CPU, clamped to the shard count); ignored by
+	// "serial". Purely a wall-time knob: results are identical for every
+	// value.
 	Partitions int
-	// RepartitionEvery rebalances the shard→partition assignment every N
-	// cycles from deterministic per-shard load counters (0 = assign once at
-	// start). Results are bit-identical with any setting.
-	RepartitionEvery uint64
 	// LinkLatency is the minimum cycle delay of every cross-shard boundary
 	// link (main-ring injects and ejects, direct-link endpoints, scheduler
 	// task and credit channels). 0 selects the historical 1-cycle latency.
@@ -148,25 +143,6 @@ func SmallConfig() Config {
 // Cores returns the total core count.
 func (c Config) Cores() int { return c.SubRings * c.CoresPerSub }
 
-// autoParallelCores is the chip size at which Executor "auto" switches to
-// the parallel executor: below it, per-cycle synchronization overhead
-// outweighs what little work there is to spread (see BENCH_engine.json for
-// the serial-vs-parallel crossover measurements).
-const autoParallelCores = 64
-
-// EffectiveParallel resolves the executor selection to a concrete mode for
-// this host.
-func (c Config) EffectiveParallel() bool {
-	switch c.Executor {
-	case "parallel":
-		return true
-	case "auto":
-		return runtime.GOMAXPROCS(0) > 1 && c.Cores() >= autoParallelCores
-	default:
-		return false
-	}
-}
-
 // Threads returns the total hardware thread count.
 func (c Config) Threads() int {
 	return c.Cores() * c.Core.Lanes * c.Core.ThreadsPerLane
@@ -250,13 +226,13 @@ func Build(cfg Config, store *mem.Sparse) (*Chip, error) {
 		c.inj = inj
 	}
 	switch cfg.Executor {
-	case "", "serial", "parallel", "auto":
+	case "", "serial":
+		c.eng.SetMaxPartitions(1)
+	case "parallel":
+		c.eng.SetMaxPartitions(cfg.Partitions)
 	default:
-		return nil, fmt.Errorf("chip: unknown executor %q (want serial, parallel, or auto)", cfg.Executor)
+		return nil, fmt.Errorf("chip: unknown executor %q (want serial or parallel)", cfg.Executor)
 	}
-	c.eng.SetParallel(cfg.EffectiveParallel())
-	c.eng.SetMaxPartitions(cfg.Partitions)
-	c.eng.SetRepartition(cfg.RepartitionEvery)
 	wd := cfg.WatchdogCycles
 	if wd == 0 {
 		wd = sim.DefaultWatchdogCycles

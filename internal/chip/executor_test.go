@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"smarco/internal/fault"
@@ -31,47 +30,23 @@ func normalizedSnapshot(t *testing.T, c *Chip) []byte {
 	return raw
 }
 
-// TestAutoExecutorCrossover: "auto" picks parallel only on a multi-CPU
-// host with a chip at or above the measured crossover size; explicit modes
-// always win. (The bit-identity matrix below need not rerun "auto": on the
-// small chip it resolves to serial everywhere.)
-func TestAutoExecutorCrossover(t *testing.T) {
-	small := SmallConfig()
-	small.Executor = "auto"
-	if small.EffectiveParallel() {
-		t.Fatalf("auto on a %d-core chip picked parallel (crossover is %d cores)",
-			small.Cores(), autoParallelCores)
-	}
-	full := DefaultConfig()
-	full.Executor = "auto"
-	want := runtime.GOMAXPROCS(0) > 1
-	if got := full.EffectiveParallel(); got != want {
-		t.Fatalf("auto on the %d-core chip = %v, want %v (GOMAXPROCS=%d)",
-			full.Cores(), got, want, runtime.GOMAXPROCS(0))
-	}
-	for _, tc := range []struct {
-		mode string
-		want bool
-	}{{"serial", false}, {"parallel", true}} {
-		cfg := SmallConfig()
-		cfg.Executor = tc.mode
-		if got := cfg.EffectiveParallel(); got != tc.want {
-			t.Fatalf("executor %q resolved to parallel=%v, want %v", tc.mode, got, tc.want)
+// TestBuildRejectsUnknownExecutor: "serial" and "parallel" are the only
+// executors; anything else, the retired "auto" included, fails Build.
+func TestBuildRejectsUnknownExecutor(t *testing.T) {
+	for _, name := range []string{"warp", "auto"} {
+		bad := SmallConfig()
+		bad.Executor = name
+		if _, err := Build(bad, nil); err == nil {
+			t.Fatalf("Build accepted unknown executor %q", name)
 		}
-	}
-	bad := SmallConfig()
-	bad.Executor = "warp"
-	if _, err := Build(bad, nil); err == nil {
-		t.Fatal("Build accepted unknown executor")
 	}
 }
 
 // TestExecutorBitIdentity is the partitioning-invariance contract: the
 // serial executor, the parallel executor at its default and at a forced
-// partition count, periodic repartitioning, the "auto" mode, and a
-// checkpoint restored into a differently-partitioned chip all produce the
-// same cycle count and the same (normalized) snapshot — with and without
-// fault injection.
+// partition count, and a checkpoint restored into a differently-partitioned
+// chip all produce the same cycle count and the same (normalized)
+// snapshot — with and without fault injection.
 func TestExecutorBitIdentity(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -79,11 +54,6 @@ func TestExecutorBitIdentity(t *testing.T) {
 	}{
 		{"parallel", func(c *Config) { c.Executor = "parallel" }},
 		{"parallel-3parts", func(c *Config) { c.Executor = "parallel"; c.Partitions = 3 }},
-		{"repartitioned", func(c *Config) {
-			c.Executor = "parallel"
-			c.Partitions = 3
-			c.RepartitionEvery = 1_500
-		}},
 	}
 	for _, faulty := range []bool{false, true} {
 		faulty := faulty
@@ -139,7 +109,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 			}
 
 			// Checkpoint the serial run halfway and resume it in a chip
-			// using the repartitioned parallel executor: the shard-level
+			// using the 3-partition parallel executor: the shard-level
 			// snapshot format is executor-independent, so the resumed run
 			// must land on the same final state.
 			mid := refCycles / 2
@@ -152,7 +122,6 @@ func TestExecutorBitIdentity(t *testing.T) {
 			resCfg := base
 			resCfg.Executor = "parallel"
 			resCfg.Partitions = 3
-			resCfg.RepartitionEvery = 1_000
 			wRes := mk()
 			res := New(resCfg, wRes.Mem)
 			res.Submit(wRes.Tasks)
@@ -171,10 +140,10 @@ func TestExecutorBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if resCycles != refCycles {
-				t.Fatalf("restored repartitioned run: %d cycles, serial %d", resCycles, refCycles)
+				t.Fatalf("restored parallel-3parts run: %d cycles, serial %d", resCycles, refCycles)
 			}
 			if snap := normalizedSnapshot(t, res); !bytes.Equal(snap, refSnap) {
-				t.Fatalf("restored repartitioned run: snapshot diverged from serial run")
+				t.Fatalf("restored parallel-3parts run: snapshot diverged from serial run")
 			}
 		})
 	}

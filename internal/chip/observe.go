@@ -90,7 +90,7 @@ type SnapshotChip struct {
 	Threads     int    `json:"threads"`
 	MCs         int    `json:"mcs"`
 	Topology    string `json:"topology"`
-	Parallel    bool   `json:"parallel"` // effective executor for this run
+	Parallel    bool   `json:"parallel"` // Executor is "parallel"
 	Executor    string `json:"executor,omitempty"`
 	// LinkLatency is the configured cross-shard link delay (0 = historical
 	// 1-cycle links); Lookahead is the narrowest shard window the engine
@@ -170,7 +170,7 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 			Threads:         c.Config.Threads(),
 			MCs:             c.Config.MCs,
 			Topology:        topo,
-			Parallel:        c.Config.EffectiveParallel(),
+			Parallel:        c.Config.Executor == "parallel",
 			Executor:        c.Config.Executor,
 			LinkLatency:     c.Config.LinkLatency,
 			DRAMLatency:     c.Config.DRAMLatency,

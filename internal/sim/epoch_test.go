@@ -42,8 +42,9 @@ func (p *pinger) Progress() uint64 { return p.sent + uint64(len(p.log)) }
 // given latency.
 func buildPingPong(lat, look uint64, parallel bool) (*Engine, *pinger, *pinger) {
 	e := NewEngine()
-	e.SetParallel(parallel)
-	e.SetMaxPartitions(2)
+	if parallel {
+		e.SetMaxPartitions(2)
+	}
 	e.SetLookahead(look)
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)

@@ -5,25 +5,20 @@ import (
 	"testing"
 )
 
-// sleeperTicker quiesces permanently after its first cycle, so its shard
-// accrues essentially no ticks.
-type sleeperTicker struct{}
-
-func (sleeperTicker) Tick(uint64)                     {}
-func (sleeperTicker) Commit(uint64)                   {}
-func (sleeperTicker) Quiescent(uint64) (bool, uint64) { return true, 0 }
-
 // TestAssignIsolatesHeavyShard: LPT assignment must put a shard that
 // dominates the load estimate on its own partition.
 func TestAssignIsolatesHeavyShard(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 5; i++ {
+	// Before any cycle runs there are no tick counts, so the estimate
+	// falls back to the component count: shard 0 is the heavy one.
+	heavy := make([]Ticker, 100)
+	for i := range heavy {
+		heavy[i] = &counterTicker{}
+	}
+	e.AddShard("heavy", heavy...)
+	for i := 0; i < 4; i++ {
 		e.AddShard("", &counterTicker{})
 	}
-	// Before any cycle runs there are no tick counts, so the estimate
-	// falls back to the static weight hint.
-	e.SetShardWeight(0, 100)
-	e.SetParallel(true)
 	e.SetMaxPartitions(2)
 	if got := e.Partitions(); got != 2 {
 		t.Fatalf("Partitions() = %d, want 2", got)
@@ -32,47 +27,10 @@ func TestAssignIsolatesHeavyShard(t *testing.T) {
 	if len(load) != 5 {
 		t.Fatalf("LoadReport has %d rows, want 5", len(load))
 	}
-	heavy := load[0].Partition
+	part := load[0].Partition
 	for _, row := range load[1:] {
-		if row.Partition == heavy {
-			t.Fatalf("light shard %d shares partition %d with the heavy shard", row.Shard, heavy)
-		}
-	}
-}
-
-// TestRepartitionFollowsMeasuredLoad: after running, the assignment must be
-// driven by per-shard tick counts, not the initial weights. Shard 0 claims
-// a huge static weight but quiesces immediately; shard 1 ticks every cycle.
-// A repartition mid-run must not leave the busy shards packed together.
-func TestRepartitionFollowsMeasuredLoad(t *testing.T) {
-	e := NewEngine()
-	e.AddShard("idle", &sleeperTicker{})
-	busy := make([]*counterTicker, 3)
-	for i := range busy {
-		busy[i] = &counterTicker{}
-		e.AddShard("", busy[i])
-	}
-	e.SetShardWeight(0, 1_000_000) // stale hint: the idle shard looks heaviest
-	e.SetParallel(true)
-	e.SetMaxPartitions(2)
-	e.SetRepartition(16)
-	if _, err := e.Run(1_000, func() bool { return e.Now() >= 64 }); err != nil {
-		t.Fatal(err)
-	}
-	load := e.LoadReport()
-	// The three busy shards accrued equal ticks; after repartitioning on
-	// measured load they must span both partitions rather than all hiding
-	// from the stale-weight shard on one.
-	parts := map[int]bool{}
-	for _, row := range load[1:] {
-		parts[row.Partition] = true
-	}
-	if len(parts) != 2 {
-		t.Fatalf("busy shards all on one partition after repartition: %+v", load)
-	}
-	for _, b := range busy {
-		if b.visible == 0 {
-			t.Fatal("busy ticker never ran")
+		if row.Partition == part {
+			t.Fatalf("light shard %d shares partition %d with the heavy shard", row.Shard, part)
 		}
 	}
 }
@@ -105,51 +63,46 @@ func TestLoadReportTickShares(t *testing.T) {
 	}
 }
 
-// TestRepartitionBitIdentity: the same workload with and without periodic
-// repartitioning produces identical component history.
-func TestRepartitionBitIdentity(t *testing.T) {
-	run := func(repart uint64, parts int) []uint64 {
+// TestPartitionCountBitIdentity: the same workload at every partition
+// count produces identical component history.
+func TestPartitionCountBitIdentity(t *testing.T) {
+	run := func(parts int) []uint64 {
 		e := NewEngine()
 		c := &counterTicker{}
 		r := &readerTicker{peer: c}
 		e.AddShard("", r)
 		e.AddShard("", c)
 		e.AddShard("", &counterTicker{}, &counterTicker{})
-		e.SetParallel(parts > 0)
-		if parts > 0 {
-			e.SetMaxPartitions(parts)
-		}
-		e.SetRepartition(repart)
+		e.SetMaxPartitions(parts)
 		for i := 0; i < 50; i++ {
 			e.Step()
 		}
 		return r.observed
 	}
-	ref := run(0, 0)
-	for _, tc := range []struct {
-		repart uint64
-		parts  int
-	}{{0, 2}, {7, 2}, {1, 3}, {13, runtime.GOMAXPROCS(0)}} {
-		got := run(tc.repart, tc.parts)
+	ref := run(1)
+	for _, parts := range []int{2, 3, runtime.GOMAXPROCS(0)} {
+		got := run(parts)
 		if len(got) != len(ref) {
-			t.Fatalf("repart=%d parts=%d: %d observations, want %d", tc.repart, tc.parts, len(got), len(ref))
+			t.Fatalf("parts=%d: %d observations, want %d", parts, len(got), len(ref))
 		}
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Fatalf("repart=%d parts=%d: cycle %d observed %d, serial %d",
-					tc.repart, tc.parts, i, got[i], ref[i])
+				t.Fatalf("parts=%d: cycle %d observed %d, serial %d", parts, i, got[i], ref[i])
 			}
 		}
 	}
 }
 
-// TestSetMaxPartitionsClamps: more partitions than shards collapses to the
-// shard count, and zero restores the GOMAXPROCS default.
+// TestSetMaxPartitionsClamps: a new engine is serial (one partition), more
+// partitions than shards collapses to the shard count, and zero means one
+// per CPU.
 func TestSetMaxPartitionsClamps(t *testing.T) {
 	e := NewEngine()
 	e.AddShard("", &counterTicker{})
 	e.AddShard("", &counterTicker{})
-	e.SetParallel(true)
+	if got := e.Partitions(); got != 1 {
+		t.Fatalf("default Partitions() = %d, want 1", got)
+	}
 	e.SetMaxPartitions(64)
 	if got := e.Partitions(); got != 2 {
 		t.Fatalf("Partitions() = %d, want 2 (clamped to shard count)", got)
@@ -160,9 +113,9 @@ func TestSetMaxPartitionsClamps(t *testing.T) {
 		want = 2
 	}
 	if got := e.Partitions(); got != want {
-		t.Fatalf("Partitions() = %d, want %d (GOMAXPROCS default)", got, want)
+		t.Fatalf("Partitions() = %d, want %d (one per CPU)", got, want)
 	}
-	e.SetParallel(false)
+	e.SetMaxPartitions(1)
 	if got := e.Partitions(); got != 1 {
 		t.Fatalf("serial Partitions() = %d, want 1", got)
 	}

@@ -1,8 +1,8 @@
-// Per-shard wall-time attribution for the engine's executors. A Profile
+// Per-shard wall-time attribution for the engine's executor. A Profile
 // accumulates, for every shard, the host wall time spent in each of the
-// three cycle phases (tick, port commit, component commit), under both the
-// serial and the parallel executor, alongside the deterministic component-
-// tick counts the load balancer runs on. Comparing shard totals — and the
+// three cycle phases (tick, port commit, component commit), at every
+// partition count, alongside the deterministic component-tick counts the
+// load balancer runs on. Comparing shard totals — and the
 // per-partition groupings of them — exposes load imbalance and makes it
 // attributable: a hot partition is a list of named shards with tick
 // shares, not an opaque goroutine.
@@ -78,8 +78,7 @@ func (e *Engine) LoadReport() []ShardLoad {
 // Profile accumulates per-shard phase timings. Install with
 // Engine.SetProfile before running; read with Partitions or String after.
 // Each shard's slot is written only by the goroutine of the partition that
-// currently owns the shard (phase barriers order writes across
-// reassignments), so the parallel executor profiles without locks.
+// owns the shard, so several partitions profile without locks.
 type Profile struct {
 	eng   *Engine
 	acc   [][3]time.Duration

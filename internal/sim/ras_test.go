@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -92,29 +93,51 @@ func (p *panicTicker) Tick(now uint64) {
 func (p *panicTicker) Commit(uint64)  {}
 func (p *panicTicker) String() string { return p.name }
 
+// TestParallelPanicSurfacesAsError: at every partition count, on the Step
+// path and inside a multi-cycle window, a component panic comes back from
+// Run as an error naming the component, the panic value, and the cycle it
+// panicked in; afterwards Step is inert.
 func TestParallelPanicSurfacesAsError(t *testing.T) {
-	e := NewEngine()
-	e.SetParallel(true)
-	e.SetMaxPartitions(2)
-	e.AddShard("", &panicTicker{name: "core7", at: 10})
-	e.AddShard("", idleTicker{})
-	cycles, err := e.Run(1_000, nil)
-	if err == nil {
-		t.Fatal("expected a panic-derived error")
-	}
-	if !strings.Contains(err.Error(), "core7") {
-		t.Fatalf("error does not name the panicking component: %v", err)
-	}
-	if !strings.Contains(err.Error(), "injected failure") {
-		t.Fatalf("error does not carry the panic value: %v", err)
-	}
-	if cycles > 11 {
-		t.Fatalf("run continued past the panic: stopped at %d", cycles)
-	}
-	// Step must be inert after a recovered panic.
-	before := e.Now()
-	e.Step()
-	if e.Now() != before {
-		t.Fatal("Step advanced after a recovered panic")
+	for _, parts := range []int{1, 2} {
+		for _, tc := range []struct {
+			name   string
+			build  func() *Engine
+			stopAt uint64 // Run's returned cycle: the end of the faulting advance
+		}{
+			{"step", func() *Engine {
+				e := NewEngine()
+				e.SetMaxPartitions(parts)
+				e.AddShard("", &panicTicker{name: "core7", at: 10})
+				e.AddShard("", idleTicker{})
+				return e
+			}, 11},
+			{"window", func() *Engine {
+				e, _, _ := buildPingPong(4, 0, parts > 1)
+				e.Add(&panicTicker{name: "core7", at: 10})
+				return e
+			}, 12},
+		} {
+			t.Run(fmt.Sprintf("parts=%d/%s", parts, tc.name), func(t *testing.T) {
+				e := tc.build()
+				cycles, err := e.Run(1_000, nil)
+				if err == nil {
+					t.Fatal("expected a panic-derived error")
+				}
+				for _, want := range []string{"core7", "injected failure", "at cycle 10:"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error lacks %q: %v", want, err)
+					}
+				}
+				if cycles != tc.stopAt {
+					t.Fatalf("run stopped at %d, want %d", cycles, tc.stopAt)
+				}
+				// Step must be inert after a recovered panic.
+				before := e.Now()
+				e.Step()
+				if e.Now() != before {
+					t.Fatal("Step advanced after a recovered panic")
+				}
+			})
+		}
 	}
 }

@@ -127,7 +127,6 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 		// Tick counters feed the load-balancer and the load report; saving
 		// them keeps post-restore snapshots identical to uninterrupted runs.
 		enc.U64(sh.ticks)
-		enc.U64(sh.lastTicks)
 	}
 	enc.U64(e.lastSum)
 	enc.U64(e.lastCheck)
@@ -173,7 +172,6 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) {
 			sh.timers = append(sh.timers, timerEntry{at: at, idx: idx})
 		}
 		sh.ticks = dec.U64()
-		sh.lastTicks = dec.U64()
 		// Transient per-step state: nothing can be dirty at a boundary.
 		sh.dirtyPorts = sh.dirtyPorts[:0]
 		// Rebuild the woken queue from the restored flags: a component that

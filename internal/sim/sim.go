@@ -7,8 +7,8 @@
 // dirty ports are committed (staged messages become visible in deterministic
 // order), then every active component's Commit is called. Because Tick never
 // observes another component's same-cycle writes, the order in which
-// components are ticked does not affect results, which is what makes both
-// the serial and the parallel executors produce identical histories.
+// components are ticked does not affect results, which is what makes every
+// partition count produce identical histories.
 //
 // Components may implement Quiescer to be skipped while idle: a quiescent
 // component is removed from its shard's active list and re-armed by a
@@ -19,21 +19,23 @@
 //
 // Components are registered in shards: stable groups (one per sub-ring, one
 // per memory controller, ...) that always execute together. Shards are the
-// unit of load balancing: the engine assigns shards to execution partitions
-// — one goroutine each under the parallel executor — using deterministic
-// per-shard load estimates (accumulated component-tick counts, or static
-// weights before any cycle has run). The assignment, and the optional
-// periodic reassignment at cycle barriers (SetRepartition), never touches
-// architectural state: simulated histories are bit-identical across serial,
-// parallel, and repartitioned execution by construction. See DESIGN.md
-// ("Load-balanced partitioning") for the contract.
+// unit of load balancing: the engine packs them onto execution partitions
+// using deterministic per-shard load estimates (accumulated component-tick
+// counts, or component counts before any cycle has run). The assignment
+// never touches architectural state: simulated histories are bit-identical
+// at every partition count by construction. See DESIGN.md ("Load-balanced
+// partitioning") for the contract.
 //
-// The parallel executor reproduces the conservative synchronous PDES scheme
-// the paper's simulation framework uses: partitions tick concurrently, and
-// a barrier at each phase boundary provides the one-cycle lookahead that
-// makes the synchronization safe. Ports are committed by the partition that
-// currently owns the receiving component's shard, so commit work
-// parallelizes with the rest of the cycle.
+// The engine has one executor, configured only by its partition count
+// (SetMaxPartitions). It reproduces the conservative synchronous PDES
+// scheme the paper's simulation framework uses: partitions tick
+// concurrently, and a barrier at each phase boundary provides the
+// one-cycle lookahead that makes the synchronization safe. Ports are
+// committed by the partition that owns the receiving component's shard, so
+// commit work parallelizes with the rest of the cycle. One partition, the
+// default, is the serial case: everything runs on the calling goroutine.
+// At every partition count a component panic is recovered and returned by
+// Run as an error (see Err).
 //
 // Run has exactly two ways to advance. When every shard's safe window is
 // one cycle it calls Step. Otherwise it advances one done-grid window at a
@@ -201,7 +203,10 @@ type shard struct {
 	dirtyPorts []committer
 	spareDirty []committer // double buffer reused by portPhase
 	asleep     int         // number of comps with asleep set
-	cur        Ticker      // component under execution, for panic diagnostics
+	// cur is the component under execution and curAt the cycle it is
+	// executing, both for panic diagnostics.
+	cur   Ticker
+	curAt uint64
 
 	// crossIn holds the cross-shard ports owned by this shard's components.
 	// The shard releases their due deliveries each port phase (sealed
@@ -221,12 +226,8 @@ type shard struct {
 
 	// Deterministic load estimate: ticks accumulates the number of
 	// component Ticks this shard has executed (a pure function of the
-	// simulated history, identical across executors); weight is the static
-	// pre-run hint used before any cycle has run; lastTicks marks the start
-	// of the current repartition window.
-	ticks     uint64
-	weight    uint64
-	lastTicks uint64
+	// simulated history, identical at every partition count).
+	ticks uint64
 
 	// win is the shard's effective fused-block window for the current Run
 	// (shardWindows) and clock its position within the window being
@@ -237,9 +238,8 @@ type shard struct {
 	clock  uint64
 	blocks uint64
 
-	// Current execution assignment. Written only between cycles (at phase
-	// barriers / before workers are resumed), read during phases; the
-	// worker channels' send/receive pairs order the two.
+	// Current execution assignment. Written only between runs (ensureParts,
+	// with no worker started), read during phases.
 	part *partition
 
 	// Observability (nil when disabled). tr/prof mirror the engine's
@@ -269,8 +269,8 @@ func (sh *shard) markWoken(cs *compState) {
 	}
 }
 
-// partition is one unit of parallelism: the set of shards currently
-// executed by one goroutine under the parallel executor.
+// partition is one unit of parallelism: the set of shards executed by one
+// goroutine (a persistent worker inside Run, or the caller's goroutine).
 type partition struct {
 	pi     int
 	shards []*shard
@@ -284,11 +284,9 @@ type Engine struct {
 	owners map[Ticker]*compState
 	now    uint64
 
-	// Executor configuration.
-	parallel    bool
-	maxParts    int    // cap on execution partitions; 0 = GOMAXPROCS
-	repartEvery uint64 // opt-in periodic repartition interval; 0 = off
-	nextRepart  uint64
+	// Executor configuration: the cap on execution partitions (1 = serial,
+	// 0 = GOMAXPROCS).
+	maxParts int
 
 	// Watchdog state. stuckSince is the first cycle of the current
 	// zero-progress streak (0 = not stuck): counting in simulated cycles
@@ -318,13 +316,13 @@ type Engine struct {
 	roundClock uint64
 	roundEnd   uint64
 
-	// First panic recovered from a partition phase. errCount mirrors
+	// Panics recovered from partition phases. errCount mirrors
 	// len(errs) so the per-cycle Err poll is one atomic load.
 	errMu    sync.Mutex
 	errs     []partitionErr
 	errCount atomic.Int32
 
-	// Persistent phase workers (parallel mode inside Run). One buffered
+	// Persistent phase workers (several partitions inside Run). One buffered
 	// channel per partition plus a single completion channel replaces the
 	// per-phase goroutine spawn + WaitGroup of the old executor.
 	workCh    []chan uint8
@@ -342,43 +340,29 @@ type Engine struct {
 // until a trace is wired in; see Trace.Emit.
 type TraceFn func(cat, name string, cycle uint64)
 
-// partitionErr records a panic recovered in one partition phase.
+// partitionErr records a panic recovered in one partition phase: the
+// component that panicked and the cycle it was executing.
 type partitionErr struct {
 	partition int
 	component Ticker
+	cycle     uint64
 	value     any
 }
 
-// NewEngine returns an empty serial engine.
-func NewEngine() *Engine { return &Engine{owners: map[Ticker]*compState{}} }
+// NewEngine returns an empty engine with one execution partition (serial).
+func NewEngine() *Engine { return &Engine{owners: map[Ticker]*compState{}, maxParts: 1} }
 
-// SetParallel switches the engine between the serial executor and the
-// partition-parallel executor. Results are identical either way.
-func (e *Engine) SetParallel(p bool) {
-	if e.parallel != p {
-		e.parallel = p
-		e.invalidateParts()
-	}
-}
-
-// SetMaxPartitions caps the number of execution partitions the parallel
-// executor uses (0 restores the default: GOMAXPROCS at assignment time,
-// never more than the shard count). Execution partitioning is a wall-time
-// concern only; simulated results are identical for every value.
+// SetMaxPartitions sets the number of execution partitions: 1 (the
+// default) runs everything on the calling goroutine, 0 means one per CPU
+// (GOMAXPROCS at assignment time), and the count never exceeds the shard
+// count. Execution partitioning is a wall-time concern only; simulated
+// results are identical for every value.
 func (e *Engine) SetMaxPartitions(n int) {
 	if e.maxParts != n {
 		e.maxParts = n
 		e.invalidateParts()
 	}
 }
-
-// SetRepartition enables (every > 0) or disables (0) periodic load
-// rebalancing: every interval cycles, at a cycle barrier inside Run, shards
-// are reassigned to partitions using the component-tick counts accumulated
-// since the previous rebalance. The decision inputs are deterministic
-// functions of the simulated history, and reassignment never touches
-// architectural state, so results stay bit-identical.
-func (e *Engine) SetRepartition(every uint64) { e.repartEvery = every }
 
 // AddShard registers a named group of components that always execute
 // together — the atomic unit of load balancing — and returns its shard id.
@@ -402,17 +386,6 @@ func (e *Engine) Add(components ...Ticker) {
 		e.AddShard("")
 	}
 	e.addToShard(e.shards[0], components...)
-}
-
-// SetShardWeight sets a shard's static load hint, used to balance the
-// initial assignment before any cycle has run (after the first cycles the
-// measured tick counts take over). The default weight is the shard's
-// component count.
-func (e *Engine) SetShardWeight(id int, weight uint64) {
-	if id >= 0 && id < len(e.shards) {
-		e.shards[id].weight = weight
-		e.invalidateParts()
-	}
 }
 
 func (e *Engine) addToShard(sh *shard, components ...Ticker) {
@@ -683,34 +656,25 @@ func (e *Engine) invalidateParts() {
 }
 
 // Partitions returns the number of execution partitions the current
-// assignment uses (1 under the serial executor).
+// assignment uses.
 func (e *Engine) Partitions() int {
 	e.ensureParts()
 	return len(e.parts)
 }
 
 // ensureParts builds the execution partitions and the shard assignment if
-// they are missing. Serial execution uses a single partition; parallel
-// execution uses min(cap, GOMAXPROCS, shard count) partitions, so a
-// single-CPU host never pays parallel-executor overhead for partitions it
-// cannot run concurrently.
+// they are missing: min(cap, shard count) partitions, where a cap of 0
+// means GOMAXPROCS, so by default a single-CPU host never pays for
+// partitions it cannot run concurrently.
 func (e *Engine) ensureParts() {
 	if e.parts != nil {
 		return
 	}
-	n := 1
-	if e.parallel {
-		n = e.maxParts
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > len(e.shards) {
-			n = len(e.shards)
-		}
-		if n < 1 {
-			n = 1
-		}
+	n := e.maxParts
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
+	n = max(1, min(n, len(e.shards)))
 	e.parts = make([]*partition, n)
 	for i := range e.parts {
 		e.parts[i] = &partition{pi: i}
@@ -719,18 +683,12 @@ func (e *Engine) ensureParts() {
 }
 
 // loadEstimate is the deterministic per-shard load input to assignment:
-// the tick count accumulated over the current repartition window, falling
-// back to the whole-run tick count and then the static weight before any
-// cycles have run. Always at least 1 so empty shards still get assigned.
+// the accumulated tick count, falling back to the component count before
+// any cycles have run. Always at least 1 so empty shards still get
+// assigned.
 func (sh *shard) loadEstimate() uint64 {
-	if est := sh.ticks - sh.lastTicks; est > 0 {
-		return est
-	}
 	if sh.ticks > 0 {
 		return sh.ticks
-	}
-	if sh.weight > 0 {
-		return sh.weight
 	}
 	if n := uint64(len(sh.comps)); n > 0 {
 		return n
@@ -774,41 +732,18 @@ func (e *Engine) assign() {
 	}
 }
 
-// repartition rebalances the shard assignment from the tick counts
-// accumulated since the previous call. Called between cycles only (phase
-// workers idle at their channel receive), so assignment writes are ordered
-// before the next phase dispatch.
-func (e *Engine) repartition() {
-	if len(e.parts) > 1 {
-		e.assign()
-	}
-	for _, sh := range e.shards {
-		sh.lastTicks = sh.ticks
-	}
-}
-
-// Step advances the simulation by exactly one cycle. After a component
-// panic has been recovered in parallel mode (see Err), Step is a no-op:
-// the faulting partition's state is no longer trustworthy.
+// Step advances the simulation by exactly one cycle, on the persistent
+// workers when Run started them and inline otherwise. After a component
+// panic has been recovered (see Err), Step is a no-op: the faulting
+// partition's state is no longer trustworthy.
 func (e *Engine) Step() {
 	if e.errCount.Load() > 0 {
 		return
 	}
 	e.ensureParts()
-	switch {
-	case !e.parallel:
-		for _, p := range e.parts {
-			p.tickPhase(e.now)
-		}
-		for _, p := range e.parts {
-			p.portPhase(e.now)
-		}
-		for _, p := range e.parts {
-			p.commitPhase(e.now)
-		}
-	case e.workersOn:
+	if e.workersOn {
 		e.stepWorkers()
-	default:
+	} else {
 		e.stepInline()
 	}
 	if e.prof != nil {
@@ -890,18 +825,13 @@ func (e *Engine) advanceWindow(n uint64) {
 			break
 		}
 		e.roundClock, e.roundEnd = m, end
-		switch {
-		case !e.parallel:
-			for _, p := range e.parts {
-				p.runRound(m, end)
-			}
-		case e.workersOn:
+		if e.workersOn {
 			e.pending.Store(int32(len(e.parts)))
 			for _, ch := range e.workCh {
 				ch <- opRound
 			}
 			<-e.doneCh
-		default:
+		} else {
 			for pi := range e.parts {
 				e.runRoundPart(pi)
 			}
@@ -1030,6 +960,7 @@ func (sh *shard) tickPhase(now uint64) {
 	if woke {
 		sortActive(sh.active)
 	}
+	sh.curAt = now
 	for _, idx := range sh.active {
 		cs := sh.comps[idx]
 		sh.cur = cs.t
@@ -1082,6 +1013,7 @@ func (sh *shard) commitPhase(now uint64) {
 	if sh.prof != nil {
 		t0 = time.Now()
 	}
+	sh.curAt = now
 	for _, idx := range sh.active {
 		cs := sh.comps[idx]
 		sh.cur = cs.t
@@ -1128,12 +1060,11 @@ func sortActive(a []int32) {
 	}
 }
 
-// stepInline runs the parallel executor's phases on the calling goroutine:
-// used when workers are not running (Step outside Run, or a single CPU),
-// preserving the panic-recovery semantics of parallel mode. With a single
-// partition — the assignment GOMAXPROCS=1 always produces — the whole
-// cycle runs under one recover instead of one per phase, so parallel mode
-// on a single-CPU host costs one deferred call per cycle over serial.
+// stepInline runs the executor's phases on the calling goroutine: used
+// when workers are not running (one partition, Step outside Run, or a
+// single CPU). With a single partition the whole cycle runs under one
+// recover; several partitions recover per partition and phase, exactly as
+// the workers do.
 func (e *Engine) stepInline() {
 	if len(e.parts) == 1 {
 		e.runCycle()
@@ -1157,7 +1088,7 @@ func (e *Engine) runCycle() {
 }
 
 // runPhase executes one phase of one partition, converting a component
-// panic into a recorded error (parallel-mode semantics).
+// panic into a recorded error.
 func (e *Engine) runPhase(pi, ph int) {
 	p := e.parts[pi]
 	defer e.recoverPartition(pi, p)
@@ -1172,18 +1103,20 @@ func (e *Engine) runPhase(pi, ph int) {
 }
 
 // recoverPartition converts a component panic in partition p into a
-// recorded error; deferred by every parallel-mode execution wrapper.
+// recorded error naming the component and the cycle it was executing;
+// deferred by every execution wrapper (runCycle, runPhase, runRoundPart).
+// A panic outside any component (engine code) falls back to e.now.
 func (e *Engine) recoverPartition(pi int, p *partition) {
 	if r := recover(); r != nil {
-		var cur Ticker
+		pe := partitionErr{partition: pi, cycle: e.now, value: r}
 		for _, sh := range p.shards {
 			if sh.cur != nil {
-				cur = sh.cur
+				pe.component, pe.cycle = sh.cur, sh.curAt
 				break
 			}
 		}
 		e.errMu.Lock()
-		e.errs = append(e.errs, partitionErr{partition: pi, component: cur, value: r})
+		e.errs = append(e.errs, pe)
 		e.errMu.Unlock()
 		e.errCount.Add(1)
 	}
@@ -1261,9 +1194,10 @@ func (e *Engine) Settle() {
 	}
 }
 
-// Err returns the error from the first component panic recovered in
-// parallel mode, or nil. When several partitions panicked in the same
-// cycle, the lowest partition index wins so the report is deterministic.
+// Err returns the error from the first recovered component panic, or nil.
+// The message names the component and the cycle it panicked in. When
+// several partitions panicked in the same cycle, the lowest partition index
+// wins so the report is deterministic.
 // The no-error fast path is a single atomic load (Run polls every epoch).
 func (e *Engine) Err() error {
 	if e.errCount.Load() == 0 {
@@ -1280,7 +1214,7 @@ func (e *Engine) Err() error {
 	if s, ok := pe.component.(fmt.Stringer); ok {
 		name = fmt.Sprintf("%s (%T)", s.String(), pe.component)
 	}
-	return fmt.Errorf("sim: component %s panicked at cycle %d: %v", name, e.now, pe.value)
+	return fmt.Errorf("sim: component %s panicked at cycle %d: %v", name, pe.cycle, pe.value)
 }
 
 // progressSum totals the registered components' work counters.
@@ -1366,19 +1300,15 @@ func (e *Engine) checkWatchdog() error {
 
 // Run advances until done returns true or the cycle budget is exhausted. It
 // returns the cycle count at stop and an error when the budget ran out, a
-// component panicked in parallel mode, or the progress watchdog detected a
-// wedged simulation. In parallel mode Run starts the persistent phase
-// workers for its duration (unless the process has a single CPU, where the
-// inline executor is strictly faster). With SetRepartition enabled, shard
-// assignments are rebalanced at the configured cycle cadence.
+// component panicked (at any partition count), or the progress watchdog
+// detected a wedged simulation. With more than one partition Run starts
+// the persistent phase workers for its duration (unless the process has a
+// single CPU, where the inline path is strictly faster).
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	e.ensureParts()
-	if e.parallel && len(e.parts) > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if len(e.parts) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		e.startWorkers()
 		defer e.stopWorkers()
-	}
-	if e.repartEvery > 0 && e.nextRepart <= e.now {
-		e.nextRepart = e.now + e.repartEvery
 	}
 	// The done condition and the watchdog are evaluated only on an absolute
 	// cycle grid whose pitch is the done grid — a pure function of the
@@ -1407,10 +1337,6 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 			e.advanceWindow(n)
 		} else {
 			e.Step()
-		}
-		if e.repartEvery > 0 && e.now >= e.nextRepart {
-			e.repartition()
-			e.nextRepart = e.now + e.repartEvery
 		}
 		if err := e.Err(); err != nil {
 			return e.now, err

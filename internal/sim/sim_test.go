@@ -111,10 +111,11 @@ func (s *portSender) Commit(uint64) {}
 func TestParallelMatchesSerial(t *testing.T) {
 	build := func(parallel bool) (*Engine, *Port[uint64]) {
 		e := NewEngine()
-		e.SetParallel(parallel)
-		// Force a real multi-partition assignment even on a single-CPU host
-		// (the default collapses to one partition there).
-		e.SetMaxPartitions(4)
+		if parallel {
+			// Force a real multi-partition assignment even on a single-CPU
+			// host (one partition per CPU would collapse to one there).
+			e.SetMaxPartitions(4)
+		}
 		port := NewPort[uint64](0)
 		e.AddPort(port)
 		for p := 0; p < 8; p++ {
@@ -162,7 +163,6 @@ func TestParallelPhaseBarrier(t *testing.T) {
 		}
 	}
 	e := NewEngine()
-	e.SetParallel(true)
 	e.SetMaxPartitions(16)
 	for p := 0; p < 16; p++ {
 		e.AddShard("", mk())
@@ -383,7 +383,6 @@ func TestWorkerBarrierPhases(t *testing.T) {
 	var inTick atomic.Int32
 	const parts = 8
 	e := NewEngine()
-	e.SetParallel(true)
 	e.SetMaxPartitions(parts)
 	for p := 0; p < parts; p++ {
 		e.AddShard("", &funcTicker{
@@ -408,8 +407,9 @@ func TestWorkerBarrierPhases(t *testing.T) {
 func TestWorkerExecutorMatchesSerial(t *testing.T) {
 	build := func(workers bool) []uint64 {
 		e := NewEngine()
-		e.SetParallel(workers)
-		e.SetMaxPartitions(4)
+		if workers {
+			e.SetMaxPartitions(4)
+		}
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
 			e.AddShard("", &portSender{id: uint64(p), port: port})

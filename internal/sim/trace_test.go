@@ -150,7 +150,9 @@ func TestTraceEmitEscapesJSON(t *testing.T) {
 func TestProfileAttributesPhases(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		e := NewEngine()
-		e.SetParallel(parallel)
+		if parallel {
+			e.SetMaxPartitions(0)
+		}
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
 			e.AddShard("", &portSender{id: uint64(p), port: port})

@@ -15,8 +15,9 @@ import (
 // smallest machine on which per-shard windows do something.
 func buildTriangle(look uint64, parallel bool) (*Engine, [3]*pinger) {
 	e := NewEngine()
-	e.SetParallel(parallel)
-	e.SetMaxPartitions(3)
+	if parallel {
+		e.SetMaxPartitions(3)
+	}
 	e.SetLookahead(look)
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)

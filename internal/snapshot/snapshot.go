@@ -24,7 +24,7 @@ import (
 // not forward-compatible across simulator changes.
 const (
 	Magic   = "SMCOSNP\x01"
-	Version = 1
+	Version = 2
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)

@@ -15,11 +15,13 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 # The engine, fault, chip, runner, card, and chaos suites run under the
-# race detector: the parallel executor shares ports, wake flags, and stat
-# counters across partition goroutines, the run pool shares a result slice
-# across worker goroutines, and the card dispatcher drives parallel-executor
-# chips through migration and restore, so these packages are where a torn
-# read would live (see DESIGN.md "Quiescence and the wake protocol").
+# race detector: the engine at more than one partition shares ports, wake
+# flags, and stat counters across partition goroutines, the run pool shares
+# a result slice across worker goroutines, and the card dispatcher drives
+# chips through migration and restore — including a processor lost to a
+# recovered component panic, which is an engine error at every partition
+# count (TestComponentPanicKillsProcessor) — so these packages are where a
+# torn read would live (see DESIGN.md "Quiescence and the wake protocol").
 # The epoch/lookahead machinery (DESIGN.md §12) lives on the same hot
 # paths — cross-port future lists are staged by partition goroutines and
 # sealed at epoch barriers — and its suites ride in the same packages:
